@@ -110,6 +110,10 @@ def _get(parser, section, key, default, convert, check=None, constraint=""):
     return value
 
 
+def _positive(value) -> bool:
+    return 0 < value < math.inf
+
+
 def _get_choice(parser, section, key, default, choices):
     value = parser.get(section, key, fallback=default).strip()
     if value not in choices:
@@ -169,17 +173,23 @@ def load_config(path: str | None) -> RunConfig:
         theta = _get(parser, "scenario", "theta", 0.0, float)
         speed = _get(parser, "scenario", "speed", 12.0, float, lambda v: v >= 0, "speed >= 0")
         sectors = _get(parser, "scenario", "sectors", 12, int, lambda v: v >= 1, "sectors >= 1")
-        if kind == "single":
-            scenario = single_bin(theta, speed)
-        elif kind == "uniform":
-            scenario = uniform_directions(speed, sectors)
-        else:
-            shape = _get(parser, "scenario", "weibull_shape", 2.1, float, lambda v: v > 0, "> 0")
-            scale = _get(parser, "scenario", "weibull_scale", 10.5, float, lambda v: v > 0, "> 0")
-            width = _get(parser, "scenario", "speed_bin_width", 1.0, float, lambda v: v > 0, "> 0")
-            vmax = _get(parser, "scenario", "speed_max", 30.0, float, lambda v: v > 0, "> 0")
-            edges = [w * width for w in range(int(math.ceil(vmax / width)) + 1)]
-            scenario = weibull_rose(shape, scale, edges, [1.0 / sectors] * sectors)
+        if kind == "weibull":
+            finite = "must be finite and > 0"
+            shape = _get(parser, "scenario", "weibull_shape", 2.1, float, _positive, finite)
+            scale = _get(parser, "scenario", "weibull_scale", 10.5, float, _positive, finite)
+            width = _get(parser, "scenario", "speed_bin_width", 1.0, float, _positive, finite)
+            vmax = _get(parser, "scenario", "speed_max", 30.0, float, _positive, finite)
+        try:
+            if kind == "single":
+                scenario = single_bin(theta, speed)
+            elif kind == "uniform":
+                scenario = uniform_directions(speed, sectors)
+            else:
+                edges = [w * width for w in range(int(math.ceil(vmax / width)) + 1)]
+                scenario = weibull_rose(shape, scale, edges, [1.0 / sectors] * sectors)
+        except ValueError as exc:
+            # non-finite or inconsistent scenario values (WindScenario checks)
+            raise ConfigError(f"[scenario] {exc}") from exc
     else:
         scenario = case_scenario(case)
 
@@ -291,25 +301,23 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     t0 = time.perf_counter()
     best, trace = run_aga(cfg.ga, grid, cfg.scenario, cfg.spec, cfg.turbines, cfg.numerator)
     wall = time.perf_counter() - t0
-    result = FarmEvaluator(grid.points, cfg.scenario, cfg.spec, cfg.numerator).evaluate(
-        best.occupied
-    )
+    last = trace[-1]
     write_layout_csv(os.path.join(out_dir, "layout.csv"), best, grid)
     write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), trace)
     write_json(
         os.path.join(out_dir, "summary.json"),
         {
             "case": cfg.case,
-            "efficiency": result.efficiency,
-            "total_power_kw": result.total_power,
-            "generations": trace[-1].generation,
+            "efficiency": last.best_eta,
+            "total_power_kw": last.best_power,
+            "generations": last.generation,
             "wall_time_s": wall,
         },
         SUMMARY_SCHEMA,
     )
     print(
-        f"optimize: case={cfg.case} eta={result.efficiency:.6f} "
-        f"P={result.total_power:.1f} kW generations={trace[-1].generation}"
+        f"optimize: case={cfg.case} eta={last.best_eta:.6f} "
+        f"P={last.best_power:.1f} kW generations={last.generation}"
     )
     return 0
 

@@ -136,6 +136,7 @@ class GenerationTrace:
     best_eta: float
     mean_eta: float
     best_layout: Layout
+    best_power: float  # kW, expected total power of best_layout; not in trace records
 
 
 def trace_records(trace) -> list:
@@ -223,23 +224,23 @@ def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
     evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
     stream = ChaosStream(params.chaos_seed)
     population = initialize_population(params, m, n_turbines, stream)
-    cache: dict = {}
-
-    def fitness(layout):
-        eta = cache.get(layout.occupied)
-        if eta is None:
-            eta = evaluator.evaluate(layout.occupied).efficiency
-            cache[layout.occupied] = eta
-        return eta
+    cache: dict = {}  # occupied -> (efficiency, expected power per turbine)
 
     trace = []
     generation = 0
     while True:
-        effs = np.array([fitness(layout) for layout in population])
+        fresh = list(dict.fromkeys(
+            layout.occupied for layout in population if layout.occupied not in cache
+        ))
+        if fresh:
+            etas, powers = evaluator.evaluate_batch(fresh)
+            cache.update(zip(fresh, zip(etas.tolist(), powers)))
+        effs = np.array([cache[layout.occupied][0] for layout in population])
         order = np.argsort(-effs, kind="stable")
         best = population[order[0]]
         best_eta = float(effs[order[0]])
-        trace.append(GenerationTrace(generation, best_eta, float(effs.mean()), best))
+        best_power = float(cache[best.occupied][1].sum())
+        trace.append(GenerationTrace(generation, best_eta, float(effs.mean()), best, best_power))
 
         target = params.target_efficiency
         if target is not None and best_eta >= target - 1e-12:
@@ -255,8 +256,7 @@ def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
                 if parent.n == m:
                     nxt.append(parent)
                     continue
-                powers = evaluator.per_turbine_power(parent.occupied)
-                worst = parent.occupied[int(np.argmin(powers))]
+                worst = parent.occupied[int(np.argmin(cache[parent.occupied][1]))]
                 nxt.append(_relocated(parent, worst, stream))
             else:
                 # ablated baseline: plain chaotic individuals instead

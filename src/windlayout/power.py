@@ -74,46 +74,140 @@ class EvaluationResult:
     efficiency: float
 
 
+# Upper bound on the elements of one (T, P, n, n) deficit gather; larger
+# batches are scored in row chunks so memory stays bounded as n grows.
+_GATHER_ELEMENTS = 1 << 22
+# The same bound for the (T, K, bins) arrays that classify the table's pieces.
+_TABLE_ELEMENTS = 1 << 20
+
+
+def _piece_starts(speeds, weights, spec: TurbineSpec) -> np.ndarray:
+    """(T, K) ascending speed ratios where some bin of a direction changes
+    regime on the power curve, with 0 and 1, padded with 2.0."""
+    T = len(speeds)
+    live = (weights > 0.0) & (speeds > 0.0)
+    v = np.where(live, speeds, 1.0)[:, :, None]
+    cuts = np.array([spec.cut_in, spec.rated_speed, spec.cut_out])
+    poly = np.asarray(spec.power_poly, dtype=float)
+    clamp = np.array([0.0, 0.0, 0.0, 0.0, spec.rated_power])
+    roots = np.concatenate([np.roots(poly), np.roots(poly - clamp)])
+    roots = roots.real[np.isclose(roots.imag, 0.0)]
+    roots = roots[(roots > spec.cut_in) & (roots < spec.rated_speed)]
+
+    # c / v lies within a few ulps of the smallest x with v * x >= c in
+    # floating point, the ratio where the pointwise curve changes regime.
+    # Speeds far below a cut overflow c / v; those starts fall outside (0, 1)
+    # and drop out below.
+    with np.errstate(over="ignore"):
+        x = cuts / v  # (T, V, 3)
+        root_x = np.where(live[:, :, None], roots / v, 2.0)  # (T, V, R)
+        adjust = live[:, :, None] & (x > 0.0) & (x < 2.0)
+        while True:
+            down = np.nextafter(x, -np.inf)
+            step_down = adjust & (v * down >= cuts)
+            step_up = adjust & ~(v * x >= cuts)
+            if not (step_down.any() or step_up.any()):
+                break
+            x = np.where(step_down, down, np.where(step_up, np.nextafter(x, np.inf), x))
+
+    cand = np.concatenate([np.where(adjust, x, 2.0).reshape(T, -1), root_x.reshape(T, -1)], axis=1)
+    cand = np.where((cand > 0.0) & (cand < 1.0), cand, 2.0)
+    cand = np.sort(np.concatenate([np.zeros((T, 1)), np.ones((T, 1)), cand], axis=1), axis=1)
+    repeat = np.zeros(cand.shape, dtype=bool)
+    repeat[:, 1:] = cand[:, 1:] == cand[:, :-1]
+    cand = np.sort(np.where(repeat, 2.0, cand), axis=1)
+    return cand[:, : int((cand < 2.0).sum(axis=1).max())]
+
+
+def _expected_power_table(speeds, weights, spec: TurbineSpec):
+    """Exact expected power of one turbine per wind direction, as a piecewise
+    quartic in its speed ratio x = u / v = 1 - d (d: combined deficit).
+
+    For direction t, g_t(x) = sum_v w_tv * p(v * x), with p the pointwise
+    curve of ``power_values``. The pieces start where v * x crosses cut-in,
+    rated speed or cut-out, or a real root of poly = 0 or poly = p_max inside
+    (cut_in, rated_speed). Each cut start is the smallest float x with
+    v * x >= cut in floating point, so the table switches regime exactly where
+    the pointwise curve applied to v * (1 - d) does; x = 1 (d = 0) is a piece
+    of its own, so a speed exactly at a cut scores as it does pointwise.
+
+    speeds, weights: (T, V) arrays, ragged directions padded with zero-weight
+    bins. Returns ``starts`` (T, K), ascending piece starts padded with 2.0,
+    and ``coef`` (T, K, 5), the quartic in x per piece, highest power first.
+    """
+    poly = np.asarray(spec.power_poly, dtype=float)
+    p_max = spec.rated_power
+    starts = _piece_starts(speeds, weights, spec)
+
+    # classify each (piece, bin) with power_values' comparisons: the cuts at
+    # the piece start, which belongs to the piece, the clamp at its midpoint.
+    # Bins go in chunks, so fine speed binnings keep the (T, K, bins) work
+    # arrays bounded.
+    ends = np.minimum(np.concatenate([starts[:, 1:], np.full((len(starts), 1), 2.0)], axis=1), 1.0)
+    mids = ((starts + ends) / 2.0)[:, :, None]
+    real = (starts <= 1.0)[:, :, None]
+    terms = weights[:, :, None] * poly * speeds[:, :, None] ** np.arange(4, -1, -1)
+    coef = np.zeros(starts.shape + (5,))
+    step = max(1, _TABLE_ELEMENTS // starts.size)
+    for lo in range(0, speeds.shape[1], step):
+        v = speeds[:, None, lo : lo + step]
+        u = v * starts[:, :, None]  # (T, K, bins)
+        raw = np.polyval(poly, v * mids)
+        below = u < spec.cut_in
+        rated = u >= spec.rated_speed
+        out = u >= spec.cut_out
+        quartic = (raw >= 0.0) & (raw <= p_max) & ~below & ~rated & ~out & real
+        plateau = (((raw > p_max) & ~below) | rated) & ~out & real
+        coef += np.einsum("tkv,tvi->tki", quartic.astype(float), terms[:, lo : lo + step])
+        coef[:, :, 4] += p_max * np.einsum(
+            "tkv,tv->tk", plateau.astype(float), weights[:, lo : lo + step]
+        )
+    return starts, coef
+
+
 class FarmEvaluator:
     """Scores layouts over a fixed candidate-point set.
 
-    Pairwise wake tables are precomputed once per wind direction, so scoring
-    an index subset costs only a submatrix gather plus the power curve. The
-    per-direction deficit does not depend on wind speed, which lets one table
-    serve every speed bin of that direction.
+    Set-up builds, once per evaluator:
+
+    - a (T, M, M) stack of squared pairwise deficits, one table per wind
+      direction; the deficit does not depend on wind speed, so one table
+      serves every speed bin of its direction;
+    - per direction, the exact expected power of one turbine as a piecewise
+      quartic in its speed ratio x = 1 - d (see ``_expected_power_table``),
+      so the speed bins collapse into one lookup and a Horner pass.
+
+    ``evaluate_batch`` scores a (P, n) block of index rows with one
+    (T, P, n, n) gather, the root-sum-square deficit, one table lookup per
+    direction and Horner evaluation; ``evaluate`` is a batch of one that also
+    reports the expected speeds. Ragged scenarios (a different number of
+    speed bins per direction) are padded with zero-weight bins. The
+    wake-free power ``unit_power`` comes from the same table, so a wake-free
+    turbine scores exactly ``unit_power``.
     """
 
     def __init__(self, points, scenario, spec: TurbineSpec, numerator: str = "standard"):
         self.points = np.asarray(points, dtype=float)
         self.scenario = scenario
         self.spec = spec
-        self.curve = curve_of(spec)
 
         by_theta: dict = {}
         for theta, v, w in scenario.bins:
             by_theta.setdefault(theta, []).append((v, w))
-        self._tables = []
-        self._speeds = []
-        self._weights = []
-        for theta, pairs in by_theta.items():
-            self._tables.append(squared_deficit_matrix(self.points, theta, spec, numerator))
-            self._speeds.append(np.array([v for v, _ in pairs]))
-            self._weights.append(np.array([w for _, w in pairs]))
-
-        # stacked (T, ...) arrays when every direction carries the same number
-        # of speed bins, which lets evaluate() run as a handful of array ops
-        if len({len(s) for s in self._speeds}) == 1:
-            self._stack = np.stack(self._tables)
-            self._sp = np.stack(self._speeds)
-            self._wt = np.stack(self._weights)
-        else:
-            self._stack = None
+        self._stack = np.stack([
+            squared_deficit_matrix(self.points, theta, spec, numerator) for theta in by_theta
+        ])
+        T, V = len(by_theta), max(len(pairs) for pairs in by_theta.values())
+        speeds = np.zeros((T, V))
+        weights = np.zeros((T, V))
+        for t, pairs in enumerate(by_theta.values()):
+            speeds[t, : len(pairs)], weights[t, : len(pairs)] = zip(*pairs)
+        self._mean_speed = (weights * speeds).sum(axis=1)
+        self._starts, self._coef = _expected_power_table(speeds, weights, spec)
 
         # wake-free expected power of one turbine, the per-turbine efficiency
         # denominator
-        self.unit_power = float(
-            sum((w * power_values(self.curve, s)).sum() for s, w in zip(self._speeds, self._weights))
-        )
+        self.unit_power = float(self._expected_power(np.ones((T, 1, 1)))[0, 0])
 
     def _indices(self, indices) -> np.ndarray:
         if indices is None:
@@ -125,42 +219,60 @@ class FarmEvaluator:
             raise ValueError("indices must be distinct")
         return idx
 
-    def directional_deficits(self, indices=None) -> list:
-        """Combined (clamped) deficit per turbine for each wind direction."""
-        idx = self._indices(indices)
-        if self._stack is not None:
-            sub = self._stack[:, idx[:, None], idx[None, :]]
-            return list(np.minimum(np.sqrt(sub.sum(axis=2)), 1.0))
-        return [
-            np.minimum(np.sqrt(table[np.ix_(idx, idx)].sum(axis=1)), 1.0)
-            for table in self._tables
-        ]
+    def _expected_power(self, ratio) -> np.ndarray:
+        """(P, n) expected power, kW, from (T, P, n) speed ratios 1 - d."""
+        piece = np.stack([
+            np.searchsorted(starts, r, side="right") - 1 for starts, r in zip(self._starts, ratio)
+        ])
+        c = self._coef[np.arange(len(ratio))[:, None, None], piece]  # (T, P, n, 5)
+        g = c[..., 0]
+        for k in range(1, 5):
+            g = g * ratio + c[..., k]
+        # summed in ascending order along the directions: the sum is then the
+        # same for any batch shape and any permutation of the directions, so
+        # mirror-image turbines tie exactly
+        return sum(np.sort(g, axis=0))
 
-    def evaluate(self, indices=None) -> EvaluationResult:
-        """Full farm evaluation for the given candidate indices."""
-        idx = self._indices(indices)
-        n = len(idx)
+    def _score(self, rows):
+        """Speed ratios (T, P, n) and expected power (P, n) of index rows."""
         if self.unit_power <= 0.0:
             raise ValueError(
                 "denominator degenerate: scenario has no expected wake-free power"
             )
-        if self._stack is not None:
-            sub = self._stack[:, idx[:, None], idx[None, :]]
-            deficit = np.minimum(np.sqrt(sub.sum(axis=2)), 1.0)  # (T, n)
-            u = self._sp[:, :, None] * (1.0 - deficit[:, None, :])  # (T, V, n)
-            speed_exp = np.einsum("tv,tvn->n", self._wt, u)
-            power_exp = np.einsum("tv,tvn->n", self._wt, power_values(self.curve, u))
-        else:
-            speed_exp = np.zeros(n)
-            power_exp = np.zeros(n)
-            for deficit, speeds, weights in zip(
-                self.directional_deficits(idx), self._speeds, self._weights
-            ):
-                u = speeds[:, None] * (1.0 - deficit[None, :])
-                speed_exp += weights @ u
-                power_exp += weights @ power_values(self.curve, u)
-        total = float(power_exp.sum())
-        return EvaluationResult(speed_exp, power_exp, total, total / (n * self.unit_power))
+        T, M, _ = self._stack.shape
+        if rows.min() < 0 or rows.max() >= M:
+            raise ValueError(f"indices must lie in [0, {M})")
+        pairs = rows[:, :, None] * M + rows[:, None, :]
+        sub = np.take(self._stack.reshape(T, M * M), pairs, axis=1)  # (T, P, n, n)
+        ratio = 1.0 - np.minimum(np.sqrt(sub.sum(axis=3)), 1.0)
+        return ratio, self._expected_power(ratio)
+
+    def evaluate_batch(self, rows):
+        """Score a (P, n) block of index rows at once.
+
+        Returns the efficiencies, shape (P,), and the expected power per
+        turbine, kW, shape (P, n), ordered like each row.
+        """
+        rows = np.asarray(rows, dtype=int)
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError("rows must be a non-empty (P, n) block of indices")
+        ordered = np.sort(rows, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("indices must be distinct within each row")
+        n = rows.shape[1]
+        step = max(1, _GATHER_ELEMENTS // (len(self._stack) * n * n))
+        power = np.concatenate(
+            [self._score(rows[lo : lo + step])[1] for lo in range(0, len(rows), step)]
+        )
+        return power.sum(axis=1) / (n * self.unit_power), power
+
+    def evaluate(self, indices=None) -> EvaluationResult:
+        """Full farm evaluation for the given candidate indices."""
+        idx = self._indices(indices)
+        ratio, power = self._score(idx[None, :])
+        speed = self._mean_speed @ ratio[:, 0, :]
+        total = float(power[0].sum())
+        return EvaluationResult(speed, power[0], total, total / (len(idx) * self.unit_power))
 
     def per_turbine_power(self, indices=None) -> np.ndarray:
         """Expected power per turbine, kW, ordered like the given indices."""

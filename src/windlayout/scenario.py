@@ -54,6 +54,10 @@ class WindScenario:
         bins = tuple((float(t), float(v), float(w)) for t, v, w in self.bins)
         if not bins:
             raise ValueError("scenario needs at least one bin")
+        if not all(math.isfinite(x) for b in bins for x in b):
+            raise ValueError("bin directions, speeds and weights must be finite")
+        if any(v < 0 for _, v, _ in bins):
+            raise ValueError("bin speeds must be non-negative")
         if any(w < 0 for _, _, w in bins):
             raise ValueError("bin weights must be non-negative")
         total = math.fsum(w for _, _, w in bins)

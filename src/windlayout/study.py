@@ -104,9 +104,8 @@ def shrink_sweep(
         powers = []
         for seed in seeds:
             params = replace(ga_params, chaos_seed=seed)
-            best, _ = run_aga(params, grid, scenario, spec, n_turbines, numerator)
-            result = FarmEvaluator(grid.points, scenario, spec, numerator).evaluate(best.occupied)
-            powers.append(result.total_power)
+            _, trace = run_aga(params, grid, scenario, spec, n_turbines, numerator)
+            powers.append(trace[-1].best_power)
         mean_power = float(np.mean(powers))
         stderr = float(np.std(powers, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
         if baseline_power is None:

@@ -50,6 +50,10 @@ class TurbineSpec:
             raise ValueError("need cut_in < rated_speed < cut_out")
         if len(self.power_poly) != 5:
             raise ValueError("power_poly must hold 5 quartic coefficients")
+        finite = (self.rotor_radius, self.hub_height, self.rated_power, self.cut_in,
+                  self.rated_speed, *self.power_poly)
+        if not all(math.isfinite(x) for x in finite):
+            raise ValueError("turbine values must be finite (cut_out may be inf: no cut-out)")
 
 
 def decay_factor(spec: TurbineSpec) -> float:

@@ -84,6 +84,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[turbine\]"):
             load_config(write_cfg(tmp_path, "[turbine]\nhub_height = 10\n"))
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("theta", "nan", "single"), ("speed", "inf", "single"), ("speed", "inf", "uniform"),
+        ("weibull_scale", "inf", "weibull"), ("speed_max", "inf", "weibull"),
+    ])
+    def test_non_finite_scenario_rejected(self, tmp_path, key, value, kind):
+        text = f"[scenario]\ncase = custom\nkind = {kind}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=r"\[scenario\]"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_custom_weibull(self, tmp_path):
         text = """
 [scenario]
@@ -179,6 +188,21 @@ class TestCommands:
     def test_bad_seed_is_config_error(self, tmp_path, capsys):
         assert main(["optimize", "--seed", "0.5", "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["theta = nan", "speed = inf"])
+    def test_non_finite_scenario_exits_1(self, tmp_path, capsys, line):
+        # a NaN direction would switch every wake off and score eta = 1
+        cfg = write_cfg(tmp_path, f"[scenario]\ncase = custom\n{line}\n" + SMALL_GRID)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_power_poly_exits_1(self, tmp_path, capsys):
+        # a NaN coefficient would score eta = nan instead of failing
+        cfg = write_cfg(tmp_path, "[turbine]\npower_poly = nan 0 0 0 1\n" + SMALL_GRID)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [turbine]" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["optimize", "--config", str(tmp_path / "missing.ini")])

@@ -91,6 +91,18 @@ class TestScenarios:
         with pytest.raises(ValueError):
             WindScenario(((0.0, 12.0, -0.5), (0.0, 10.0, 1.5)), sector_count=1)
 
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 12.0, 1.0), (math.inf, 12.0, 1.0), (0.0, math.nan, 1.0),
+        (0.0, math.inf, 1.0), (0.0, 12.0, math.nan), (0.0, 12.0, math.inf),
+    ])
+    def test_rejects_non_finite_bin(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WindScenario((bad,), sector_count=1)
+
+    def test_rejects_negative_speed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            WindScenario(((0.0, -1.0, 1.0),), sector_count=1)
+
 
 class TestWeibullRose:
     def test_cdf_identity_at_scale(self):

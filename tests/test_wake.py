@@ -30,6 +30,9 @@ class TestTurbineSpec:
             {"surface_roughness": 0.0},
             {"cut_in": 15.0},  # above rated speed
             {"rated_power": 0.0},
+            {"rated_power": math.inf},
+            {"cut_in": -math.inf},
+            {"power_poly": (math.nan, 0.0, 0.0, 0.0, 1.0)},
         ],
     )
     def test_invariants_rejected(self, kwargs):
