@@ -56,27 +56,27 @@ def overlap_areas(wake_radius, rotor_radius, offset) -> np.ndarray:
     All arguments broadcast together. Disjoint discs give 0, containment
     gives the full area of the smaller disc, and the remaining regime is the
     closed-form lens area (sum of the two circular segments cut off by the
-    common chord). The lens expression is also used exactly at the regime
-    boundaries, where it agrees with both neighbours by continuity.
+    common chord). The lens expression is evaluated only inside that regime:
+    at a tiny non-zero offset it would divide by the offset and overflow.
     """
-    r = np.asarray(wake_radius, dtype=float)
-    R = np.asarray(rotor_radius, dtype=float)
-    d = np.asarray(offset, dtype=float)
-
+    r, R, d = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in
+                                    (wake_radius, rotor_radius, offset)))
     small = np.minimum(r, R)
     big = np.maximum(r, R)
-    d_safe = np.where(d > 0.0, d, 1.0)
+    disjoint = d >= r + R
+    out = np.where(disjoint, 0.0, np.pi * small**2)
 
+    lens = ~disjoint & (d > big - small)
+    r, R, d = r[lens], R[lens], d[lens]
     # distance from each centre to the chord through the two crossing points
-    d1 = (r**2 - R**2 + d**2) / (2.0 * d_safe)
+    d1 = (r**2 - R**2 + d**2) / (2.0 * d)
     d2 = d - d1
     t1 = np.clip(d1 / r, -1.0, 1.0)
     t2 = np.clip(d2 / R, -1.0, 1.0)
     seg1 = r**2 * np.arccos(t1) - d1 * np.sqrt(np.maximum(r**2 - d1**2, 0.0))
     seg2 = R**2 * np.arccos(t2) - d2 * np.sqrt(np.maximum(R**2 - d2**2, 0.0))
-    lens = seg1 + seg2
-
-    return np.where(d >= r + R, 0.0, np.where(d <= big - small, np.pi * small**2, lens))
+    out[lens] = seg1 + seg2
+    return out
 
 
 def circle_overlap_area(wake_radius: float, rotor_radius: float, offset: float) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wake import TurbineSpec, squared_deficit_matrix
+from .wake import TurbineSpec, _check_distinct, squared_deficits
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,11 @@ class EvaluationResult:
 _GATHER_ELEMENTS = 1 << 22
 # The same bound for the (T, K, bins) arrays that classify the table's pieces.
 _TABLE_ELEMENTS = 1 << 20
+# Upper bound on the entries of the (T, Ndx * Ndy) offset table. A lattice
+# stays far below it (12 directions on a 60-cell grid: 175,692 entries), but
+# scattered points have up to M**2 - M + 1 distinct offsets per axis, so a
+# few hundred of them would otherwise ask for terabytes.
+_OFFSET_ENTRIES = 1 << 26
 
 
 def _piece_starts(speeds, weights, spec: TurbineSpec) -> np.ndarray:
@@ -165,39 +170,67 @@ def _expected_power_table(speeds, weights, spec: TurbineSpec):
     return starts, coef
 
 
+def _offset_ids(coords):
+    """Offsets along one axis: per point the id of its coordinate among the
+    distinct coordinates, the ascending distinct offsets between coordinates,
+    and the (N, N) map from a pair of coordinate ids (a, b) to the id of the
+    offset coordinate[b] - coordinate[a]."""
+    values, ids = np.unique(coords, return_inverse=True)
+    offsets, pair = np.unique(values[None, :] - values[:, None], return_inverse=True)
+    return ids, offsets, pair.reshape(len(values), len(values))
+
+
 class FarmEvaluator:
     """Scores layouts over a fixed candidate-point set.
 
     Set-up builds, once per evaluator:
 
-    - a (T, M, M) stack of squared pairwise deficits, one table per wind
-      direction; the deficit does not depend on wind speed, so one table
-      serves every speed bin of its direction;
+    - a (T, Ndx * Ndy) table of squared deficits keyed on the pair offset
+      p_j - p_i, one row per wind direction (see ``squared_deficits``): the
+      deficit depends only on the offset and the direction, not on wind
+      speed, so one row serves every speed bin of its direction. Ndx and Ndy
+      count the distinct offsets along each axis, 2c + 1 on a lattice of c
+      cells with an integer edge, so the table does not grow with M**2;
     - per direction, the exact expected power of one turbine as a piecewise
       quartic in its speed ratio x = 1 - d (see ``_expected_power_table``),
       so the speed bins collapse into one lookup and a Horner pass.
 
-    ``evaluate_batch`` scores a (P, n) block of index rows with one
-    (T, P, n, n) gather, the root-sum-square deficit, one table lookup per
-    direction and Horner evaluation; ``evaluate`` is a batch of one that also
-    reports the expected speeds. Ragged scenarios (a different number of
-    speed bins per direction) are padded with zero-weight bins. The
-    wake-free power ``unit_power`` comes from the same table, so a wake-free
-    turbine scores exactly ``unit_power``.
+    ``evaluate_batch`` scores a (P, n) block of index rows: each pair's
+    offset key from two small per-axis maps, one (T, P, n, n) gather from the
+    table, the root-sum-square deficit, one table lookup per direction and
+    Horner evaluation; ``evaluate`` is a batch of one that also reports the
+    expected speeds. Ragged scenarios (a different number of speed bins per
+    direction) are padded with zero-weight bins. The wake-free power
+    ``unit_power`` comes from the same table, so a wake-free turbine scores
+    exactly ``unit_power``.
     """
 
     def __init__(self, points, scenario, spec: TurbineSpec, numerator: str = "standard"):
         self.points = np.asarray(points, dtype=float)
         self.scenario = scenario
         self.spec = spec
+        _check_distinct(self.points)
 
         by_theta: dict = {}
         for theta, v, w in scenario.bins:
             by_theta.setdefault(theta, []).append((v, w))
-        self._stack = np.stack([
-            squared_deficit_matrix(self.points, theta, spec, numerator) for theta in by_theta
-        ])
         T, V = len(by_theta), max(len(pairs) for pairs in by_theta.values())
+
+        # table column of pair (i, j): x_key[ix_i, ix_j] + y_pair[iy_i, iy_j]
+        self._ix, dx, x_pair = _offset_ids(self.points[:, 0])
+        self._iy, dy, y_pair = _offset_ids(self.points[:, 1])
+        entries = T * len(dx) * len(dy)
+        if entries > _OFFSET_ENTRIES:
+            raise ValueError(
+                f"offset table of {entries} entries exceeds {_OFFSET_ENTRIES}: "
+                "too many distinct coordinate offsets among the points"
+            )
+        self._x_key, self._y_pair = x_pair * len(dy), y_pair
+        self._table = np.stack([
+            squared_deficits(dx[:, None], dy[None, :], theta, spec, numerator).ravel()
+            for theta in by_theta
+        ])
+
         speeds = np.zeros((T, V))
         weights = np.zeros((T, V))
         for t, pairs in enumerate(by_theta.values()):
@@ -233,17 +266,24 @@ class FarmEvaluator:
         # mirror-image turbines tie exactly
         return sum(np.sort(g, axis=0))
 
+    def _pair_keys(self, rows) -> np.ndarray:
+        """(P, n, n) table columns of the pairs of index rows: entry [p, a, b]
+        keys the offset from turbine rows[p, a] to turbine rows[p, b]."""
+        ix, iy = self._ix[rows], self._iy[rows]
+        # flat indices into the C-ordered (N, N) maps, which np.take reads flat
+        return (np.take(self._x_key, ix[:, :, None] * len(self._x_key) + ix[:, None, :])
+                + np.take(self._y_pair, iy[:, :, None] * len(self._y_pair) + iy[:, None, :]))
+
     def _score(self, rows):
         """Speed ratios (T, P, n) and expected power (P, n) of index rows."""
         if self.unit_power <= 0.0:
             raise ValueError(
                 "denominator degenerate: scenario has no expected wake-free power"
             )
-        T, M, _ = self._stack.shape
+        M = len(self.points)
         if rows.min() < 0 or rows.max() >= M:
             raise ValueError(f"indices must lie in [0, {M})")
-        pairs = rows[:, :, None] * M + rows[:, None, :]
-        sub = np.take(self._stack.reshape(T, M * M), pairs, axis=1)  # (T, P, n, n)
+        sub = np.take(self._table, self._pair_keys(rows), axis=1)  # (T, P, n, n)
         ratio = 1.0 - np.minimum(np.sqrt(sub.sum(axis=3)), 1.0)
         return ratio, self._expected_power(ratio)
 
@@ -260,7 +300,7 @@ class FarmEvaluator:
         if np.any(ordered[:, 1:] == ordered[:, :-1]):
             raise ValueError("indices must be distinct within each row")
         n = rows.shape[1]
-        step = max(1, _GATHER_ELEMENTS // (len(self._stack) * n * n))
+        step = max(1, _GATHER_ELEMENTS // (len(self._table) * n * n))
         power = np.concatenate(
             [self._score(rows[lo : lo + step])[1] for lo in range(0, len(rows), step)]
         )

@@ -115,6 +115,33 @@ def _check_distinct(points: np.ndarray) -> None:
         raise ValueError("positions must be pairwise distinct")
 
 
+def squared_deficits(dx, dy, theta: float, spec: TurbineSpec, numerator: str = "standard"):
+    """Squared deficit a turbine's wake imposes on another turbine placed at
+    offset (dx, dy) from it, under one wind direction.
+
+    dx, dy broadcast together: the position of the wake-casting turbine minus
+    that of the waked one, metres. In the wind-aligned frame of
+    :func:`geometry.rotate_xy` the caster sits d = s*dx + c*dy upwind of the
+    other turbine at crosswind distance |c*dx - s*dy| (c, s: cosine and sine
+    of theta). Zero unless d > DOWNWIND_EPS and the discs overlap.
+    """
+    k = decay_factor(spec)
+    R = spec.rotor_radius
+    rad = math.radians(theta)
+    c, s = math.cos(rad), math.sin(rad)
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    d = s * dx + c * dy
+    off = np.abs(c * dx - s * dy)
+    upwind = d > DOWNWIND_EPS
+    dd = np.where(upwind, d, 1.0)
+
+    area = overlap_areas(R + k * dd, R, off)
+    amp = _deficit_numerator(spec, numerator) / (1.0 + k * dd / R) ** 2
+    deficit = np.where(upwind, amp * (area / (math.pi * R**2)), 0.0)
+    return deficit**2
+
+
 def squared_deficit_matrix(
     positions, theta: float, spec: TurbineSpec, numerator: str = "standard"
 ) -> np.ndarray:
@@ -126,20 +153,9 @@ def squared_deficit_matrix(
     """
     pts = np.asarray(positions, dtype=float)
     _check_distinct(pts)
-    k = decay_factor(spec)
-    R = spec.rotor_radius
-
-    xy = rotate_xy(pts, theta)
-    x, y = xy[:, 0], xy[:, 1]
-    d = y[None, :] - y[:, None]  # d[i, j] = y_j - y_i; j upwind of i when > 0
-    off = np.abs(x[:, None] - x[None, :])
-    upwind = d > DOWNWIND_EPS
-    dd = np.where(upwind, d, 1.0)
-
-    area = overlap_areas(R + k * dd, R, off)
-    amp = _deficit_numerator(spec, numerator) / (1.0 + k * dd / R) ** 2
-    deficit = np.where(upwind, amp * (area / (math.pi * R**2)), 0.0)
-    return deficit**2
+    dx = pts[None, :, 0] - pts[:, None, 0]  # dx[i, j] = x_j - x_i
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    return squared_deficits(dx, dy, theta, spec, numerator)
 
 
 @dataclass(frozen=True)

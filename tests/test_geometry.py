@@ -136,3 +136,14 @@ class TestCircleOverlapArea:
             assert vec[i] == pytest.approx(
                 circle_overlap_area(r[i], R[i], d[i]), rel=1e-12, abs=1e-9
             )
+
+    def test_tiny_offset_is_containment_without_overflow(self):
+        # a crosswind offset of 1e-312 must not reach the lens formula, which
+        # divides by the offset and squares the quotient
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            area = overlap_areas(np.array([80.0, 63.0]), 63.0, np.full(2, 1e-312))
+        assert np.array_equal(area, np.full(2, math.pi * 63.0**2))
+
+    def test_scalar_arguments(self):
+        assert overlap_areas(100.0, 50.0, 200.0) == 0.0
+        assert overlap_areas(100.0, 50.0, 120.0) == circle_overlap_area(100.0, 50.0, 120.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,74 @@ class TestFarmEvaluator:
         for bad in ([-1, 0], [0, default_grid.count]):
             with pytest.raises(ValueError, match="must lie in"):
                 evaluator.evaluate(bad)
+
+
+KERNEL_EDGE_THETAS = (0.0, 30.0, 45.0, 90.0, 135.0, 1e-9)
+
+
+class TestOffsetTable:
+    """The deficit table keyed on the pair offset against the per-pair
+    matrix and the straight-line oracle."""
+
+    def test_every_pair_matches_matrix(self, spec, default_grid):
+        scenario = WindScenario(tuple((t, 12.0, 1.0 / 6) for t in KERNEL_EDGE_THETAS), 6)
+        evaluator = FarmEvaluator(default_grid.points, scenario, spec)
+        # a lattice of c cells with an integer edge has 2c + 1 offsets per axis
+        assert evaluator._table.shape == (6, 41 * 41)
+        keys = evaluator._pair_keys(np.arange(default_grid.count)[None, :])[0]
+        for theta, row in zip(KERNEL_EDGE_THETAS, evaluator._table):
+            got = row[keys]
+            ref = squared_deficit_matrix(default_grid.points, theta, spec)
+            assert np.abs(got - ref).max() <= 1e-14
+            assert np.array_equal(got > 0.0, ref > 0.0)
+
+    @pytest.mark.parametrize("numerator", ["standard", "paper_literal"])
+    def test_non_integer_edge_grid_matches_oracle(self, spec, rng, numerator):
+        # equal steps of 4000/30 m differ by an ulp; those offsets stay apart
+        grid = build_grid(4000.0, 30)
+        scenario = case_scenario("case3")
+        evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+        assert evaluator._table.shape[1] > 61 * 61
+        rows = np.array([rng.choice(grid.count, size=16, replace=False) for _ in range(4)])
+        etas, powers = evaluator.evaluate_batch(rows)
+        for row, eta, power in zip(rows, etas, powers):
+            slow = straight_line_eval(grid.points[row], scenario, spec, numerator)
+            assert eta == pytest.approx(slow.efficiency, rel=1e-9)
+            assert np.allclose(power, slow.per_turbine_power, rtol=1e-9, atol=1e-9)
+
+    def test_scattered_positions_match_oracle(self, spec, rng):
+        pos = rng.uniform(0.0, 3000.0, size=(16, 2))
+        scenario = case_scenario("case4")
+        evaluator = FarmEvaluator(pos, scenario, spec)
+        assert evaluator._table.shape == (12, (16 * 16 - 16 + 1) ** 2)
+        got = evaluator.evaluate()
+        slow = straight_line_eval(pos, scenario, spec)
+        assert got.efficiency == pytest.approx(slow.efficiency, rel=1e-9)
+        assert np.allclose(got.per_turbine_power, slow.per_turbine_power, rtol=1e-9, atol=1e-9)
+        assert np.allclose(got.per_turbine_speed, slow.per_turbine_speed, rtol=1e-9)
+
+    def test_memory_bounded_on_large_grid(self, spec):
+        # 3,721 points under 12 directions: dense (T, M, M) tables needed
+        # about 1.3 GB; the offset table holds 12 x 121**2 entries
+        grid = build_grid(12000.0, 60)
+        scenario = case_scenario("case3")
+        tracemalloc.start()
+        try:
+            evaluator = FarmEvaluator(grid.points, scenario, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert evaluator._table.shape == (12, 121 * 121)
+        assert peak < 32 * 2**20
+
+    def test_rejects_duplicate_points(self, spec):
+        with pytest.raises(ValueError, match="distinct"):
+            FarmEvaluator([(0.0, 0.0), (500.0, 0.0), (0.0, 0.0)], single_bin(0.0, 12.0), spec)
+
+    def test_rejects_oversized_table(self, spec, rng):
+        # 200 scattered points have about 200**2 offsets per axis
+        with pytest.raises(ValueError, match="offset table"):
+            FarmEvaluator(rng.uniform(0.0, 3000.0, size=(200, 2)), single_bin(0.0, 12.0), spec)
 
 
 def pointwise_power(scenario, spec, ratio):

@@ -11,9 +11,10 @@ from windlayout.wake import (
     effective_speeds,
     pairwise_deficit,
     squared_deficit_matrix,
+    squared_deficits,
     wake_radius,
 )
-from windlayout.geometry import rotate_frame, rotate_xy
+from windlayout.geometry import overlap_areas, rotate_frame, rotate_xy
 
 
 class TestTurbineSpec:
@@ -230,3 +231,49 @@ class TestSquaredDeficitMatrix:
                 area = circle_overlap_area(63.0 + k * d, 63.0, abs(rotated[i].x - rotated[j].x))
                 expected = pairwise_deficit(spec, d, area) ** 2 if area > 0 else 0.0
                 assert mat[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def rotated_frame_matrix(positions, theta, spec, numerator="standard"):
+    """Squared pairwise deficits from positions rotated into the wind frame,
+    the form the dense tables used before the deficit was keyed on the pair
+    offset: d[i, j] = y'_j - y'_i, crosswind |x'_i - x'_j|."""
+    xy = rotate_xy(np.asarray(positions, dtype=float), theta)
+    x, y = xy[:, 0], xy[:, 1]
+    k, R = decay_factor(spec), spec.rotor_radius
+    d = y[None, :] - y[:, None]
+    upwind = d > DOWNWIND_EPS
+    dd = np.where(upwind, d, 1.0)
+    area = overlap_areas(R + k * dd, R, np.abs(x[:, None] - x[None, :]))
+    root = math.sqrt(1.0 - spec.thrust_coefficient)
+    amp = (1.0 + root if numerator == "paper_literal" else 1.0 - root) / (1.0 + k * dd / R) ** 2
+    return np.where(upwind, amp * area / (math.pi * R**2), 0.0) ** 2
+
+
+class TestSquaredDeficits:
+    @pytest.mark.parametrize("theta", [0.0, 30.0, 45.0, 90.0, 135.0, 1e-9, 217.3])
+    @pytest.mark.parametrize("numerator", ["standard", "paper_literal"])
+    def test_offsets_match_rotated_positions(self, spec, default_grid, theta, numerator):
+        # crosswind neighbours sit near DOWNWIND_EPS at 1e-9 degrees and on
+        # the diagonals; none may change side
+        got = squared_deficit_matrix(default_grid.points, theta, spec, numerator)
+        ref = rotated_frame_matrix(default_grid.points, theta, spec, numerator)
+        assert np.abs(got - ref).max() <= 1e-14
+        assert np.array_equal(got > 0.0, ref > 0.0)
+
+    def test_broadcasts_offsets(self, spec):
+        dx = np.array([-200.0, 0.0, 200.0])[:, None]
+        dy = np.array([0.0, 400.0, 800.0])[None, :]
+        table = squared_deficits(dx, dy, 0.0, spec)
+        assert table.shape == (3, 3)
+        # the caster must lie upwind (dy > 0 at 0 degrees) and overlap
+        assert np.all(table[:, 0] == 0.0)
+        assert table[1, 1] > table[1, 2] > 0.0
+        pos = [(0.0, 0.0), (0.0, 400.0)]
+        assert table[1, 1] == squared_deficit_matrix(pos, 0.0, spec)[0, 1]
+
+    def test_subnormal_direction_warns_nothing(self, spec, default_grid):
+        # at theta = 2.2250738585e-313 degrees crosswind offsets are about
+        # 1e-312 m; the lens formula used to overflow on them
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = squared_deficit_matrix(default_grid.points, 2.2250738585e-313, spec)
+        assert np.array_equal(got, squared_deficit_matrix(default_grid.points, 0.0, spec))
