@@ -10,10 +10,10 @@ from windlayout import (
     GAParams,
     TurbineSpec,
     build_grid,
-    build_wake_sets,
     run_aga,
     single_bin,
 )
+from windlayout.wake import squared_deficit_matrix
 
 spec = TurbineSpec()
 grid = build_grid(4000.0, 20)
@@ -23,10 +23,10 @@ params = GAParams(target_efficiency=1.0, max_generations=10, chaos_seed=0.1357)
 best, trace = run_aga(params, grid, scenario, spec, n_turbines=16)
 
 result = FarmEvaluator(grid.points, scenario, spec).evaluate(best.occupied)
-entries = build_wake_sets(best.positions(grid), 0.0, spec)
+wakes = int((squared_deficit_matrix(best.positions(grid), 0.0, spec) > 0.0).sum())
 
 print(f"reached eta = {result.efficiency:.4%} at generation {trace[-1].generation}")
-print(f"wake interactions present in the final layout: {len(entries)}")
+print(f"wake interactions present in the final layout: {wakes}")
 print("\nturbine  effective speed  power")
 for i, (u, p) in enumerate(zip(result.per_turbine_speed, result.per_turbine_power)):
     tag = "waked" if u < 20.0 else "free"

@@ -6,14 +6,13 @@ import numpy as np
 
 from windlayout import (
     TurbineSpec,
-    build_wake_sets,
     circle_overlap_area,
-    curve_of,
     decay_factor,
     effective_speeds,
     power_at,
     wake_radius,
 )
+from windlayout.wake import squared_deficit_matrix
 
 spec = TurbineSpec()
 k = decay_factor(spec)
@@ -25,20 +24,22 @@ for d in (0.0, 200.0, 500.0, 1000.0, 2000.0):
 
 # one turbine 600 m directly upwind of another, wind from the north
 positions = [(0.0, 0.0), (0.0, 600.0)]
-entries = build_wake_sets(positions, theta=0.0, spec=spec)
-e = entries[0]
-print(f"\nwake set: turbine {e.upstream} shades turbine {e.downstream}, "
-      f"distance {e.distance:.0f} m, overlap {e.overlap_area:.0f} m^2 "
-      f"(rotor area {np.pi * spec.rotor_radius**2:.0f} m^2)")
+sq = squared_deficit_matrix(positions, theta=0.0, spec=spec)
+(downstream, upstream), = np.argwhere(sq > 0.0)
+distance = positions[upstream][1] - positions[downstream][1]
+overlap = circle_overlap_area(wake_radius(spec, distance), spec.rotor_radius, 0.0)
+print(f"\nwake set: turbine {upstream} shades turbine {downstream}, "
+      f"distance {distance:.0f} m, overlap {overlap:.0f} m^2 "
+      f"(rotor area {np.pi * spec.rotor_radius**2:.0f} m^2), "
+      f"deficit {np.sqrt(sq[downstream, upstream]):.4f}")
 
 print("\npartial overlap as the pair slides sideways (600 m downstream):")
 for off in (0.0, 40.0, 80.0, 120.0, 160.0):
     area = circle_overlap_area(wake_radius(spec, 600.0), spec.rotor_radius, off)
     print(f"  offset {off:>5.0f} m -> overlap {area:>8.0f} m^2")
 
-curve = curve_of(spec)
 print("\neffective speeds and power at 12 m/s:")
 for v in (8.0, 12.0, 16.0):
     u = effective_speeds(positions, 0.0, v, spec)
-    powers = [power_at(curve, float(ui)) for ui in u]
+    powers = [power_at(spec, float(ui)) for ui in u]
     print(f"  free {v:>4.1f} m/s -> u = {np.round(u, 2)} m/s, power = {np.round(powers)} kW")

@@ -3,21 +3,14 @@
 from .geometry import Point, circle_overlap_area, rotate_frame
 from .wake import (
     TurbineSpec,
-    WakeGraphEntry,
-    build_wake_sets,
     decay_factor,
     effective_speeds,
-    pairwise_deficit,
     wake_radius,
 )
 from .power import (
     EvaluationResult,
     FarmEvaluator,
-    PowerCurve,
     cost_curve,
-    curve_of,
-    efficiency,
-    expected_farm_power,
     power_at,
 )
 from .optimizer import (
@@ -25,14 +18,12 @@ from .optimizer import (
     GAParams,
     GenerationTrace,
     Layout,
-    chaos_next,
     chaos_position,
     initialize_population,
     mutate_twice,
-    relocate_worst,
+    relocate,
     run_aga,
     run_conventional_ga,
-    worst_turbine,
 )
 from .scenario import (
     Grid,

@@ -19,7 +19,7 @@ preset with all defaults. Sections and keys::
     [model]     deficit_numerator = standard|paper_literal
                 uniform_pattern = line|square_lattice
                 spacing_check = off|strict
-    [sweep]     edges (whitespace-separated, descending), repeats
+    [sweep]     edges (at least 4, whitespace-separated, descending), repeats
     [compare]   seeds (count of paired seeds)
     [output]    dir
 
@@ -133,7 +133,7 @@ def load_config(path: str | None) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
 
-    side = _get(parser, "grid", "side", 4000.0, float, lambda v: v > 0, "side must be > 0")
+    side = _get(parser, "grid", "side", 4000.0, float, _positive, "side must be finite and > 0")
     cells = _get(parser, "grid", "cells", 20, int, lambda v: v >= 1, "cells >= 1")
     turbines = _get(parser, "grid", "turbines", 16, int, lambda v: v >= 1, "turbines >= 1")
     if turbines > (cells + 1) ** 2:
@@ -234,6 +234,10 @@ def load_config(path: str | None) -> RunConfig:
             sweep_edges = [float(tok) for tok in edges_raw.split()]
         except ValueError:
             _fail("sweep", "edges", f"cannot parse {edges_raw!r}")
+    # the cubic fit of the sweep needs 4 points; checked before any run
+    if not (len(sweep_edges) >= 4 and all(map(_positive, sweep_edges))
+            and all(a > b for a, b in zip(sweep_edges, sweep_edges[1:]))):
+        _fail("sweep", "edges", "need at least 4 finite, positive, strictly descending edges")
     sweep_repeats = _get(parser, "sweep", "repeats", 5, int, lambda v: v >= 1, ">= 1")
     compare_seeds = _get(parser, "compare", "seeds", 5, int, lambda v: v >= 1, ">= 1")
 
@@ -282,13 +286,21 @@ def read_layout_csv(path, grid: Grid) -> Layout:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not rows or rows[0] != "index,x,y":
         raise ValueError(f"{path}: expected an 'index,x,y' layout file")
-    indices = tuple(int(row.split(",")[0]) for row in rows[1:])
-    return Layout(indices, grid.count)
+    indices = []
+    for row in rows[1:]:
+        index, x, y = row.split(",")
+        idx = int(index)
+        # the coordinates pin the grid the layout was written on
+        if not (0 <= idx < grid.count and grid.points[idx].tolist() == [float(x), float(y)]):
+            raise ValueError(f"{path}: row {row!r} is not a point of the configured grid")
+        indices.append(idx)
+    return Layout(tuple(indices), grid.count)
 
 
-def write_trace_jsonl(path, trace):
+def write_trace_records(path, records):
+    """Write the trace schema line, then one JSON object per record."""
     lines = [json.dumps({"schema": TRACE_SCHEMA})]
-    lines += [json.dumps(rec) for rec in trace_records(trace)]
+    lines += [json.dumps(rec) for rec in records]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -303,7 +315,7 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     wall = time.perf_counter() - t0
     last = trace[-1]
     write_layout_csv(os.path.join(out_dir, "layout.csv"), best, grid)
-    write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), trace)
+    write_trace_records(os.path.join(out_dir, "trace.jsonl"), trace_records(trace))
     write_json(
         os.path.join(out_dir, "summary.json"),
         {
@@ -380,15 +392,9 @@ def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     pairs = convergence_comparison(
         grid, cfg.scenario, cfg.spec, cfg.ga, seeds, cfg.turbines, cfg.numerator
     )
-    lines_a = [json.dumps({"schema": TRACE_SCHEMA})]
-    lines_c = [json.dumps({"schema": TRACE_SCHEMA})]
-    for pair in pairs:
-        for rec in trace_records(pair["aga"]):
-            lines_a.append(json.dumps({"seed": pair["seed"], **rec}))
-        for rec in trace_records(pair["conventional"]):
-            lines_c.append(json.dumps({"seed": pair["seed"], **rec}))
-    _write_text(os.path.join(out_dir, "aga_trace.jsonl"), "\n".join(lines_a) + "\n")
-    _write_text(os.path.join(out_dir, "conventional_trace.jsonl"), "\n".join(lines_c) + "\n")
+    for loop in ("aga", "conventional"):
+        records = [{"seed": p["seed"], **rec} for p in pairs for rec in trace_records(p[loop])]
+        write_trace_records(os.path.join(out_dir, f"{loop}_trace.jsonl"), records)
 
     record = compare_uniform_vs_aga(
         grid, cfg.scenario, cfg.spec, cfg.ga, cfg.turbines, cfg.uniform_pattern, cfg.numerator
@@ -468,19 +474,6 @@ def _cmd_cost_curve(out_dir: str, n_max: int = 100) -> int:
     _write_text(os.path.join(out_dir, "cost_curve.csv"), "\n".join(lines) + "\n")
     print(f"cost-curve: wrote N=1..{n_max}")
     return 0
-
-
-def run(cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Execute the configured study end to end and return a process exit
-    code: writes layout.csv, trace.jsonl and summary.json into the resolved
-    output directory."""
-    try:
-        target = resolve_out_dir(cfg, out_dir)
-        os.makedirs(target, exist_ok=True)
-        return _cmd_optimize(cfg, target)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -39,17 +39,6 @@ def rotate_frame(p, theta: float) -> Point:
     return Point(c * x - s * y, s * x + c * y)
 
 
-def rotate_xy(points, theta: float) -> np.ndarray:
-    """Rotate an (n, 2) array of positions into the wind-aligned frame."""
-    pts = np.asarray(points, dtype=float)
-    rad = math.radians(theta)
-    c, s = math.cos(rad), math.sin(rad)
-    out = np.empty_like(pts)
-    out[:, 0] = c * pts[:, 0] - s * pts[:, 1]
-    out[:, 1] = s * pts[:, 0] + c * pts[:, 1]
-    return out
-
-
 def overlap_areas(wake_radius, rotor_radius, offset) -> np.ndarray:
     """Vectorised disc-intersection area.
 

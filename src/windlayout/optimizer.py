@@ -3,12 +3,11 @@ worst-turbine relocation, alien injection and twice-toggle mutation, driven
 entirely by a chaotic logistic-map stream; plus the relocation-ablated
 baseline used for convergence comparisons."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .power import FarmEvaluator, expected_farm_power
+from .power import FarmEvaluator
 
 # seeds that land on the logistic map's fixed points or the 0.5 -> 1 -> 0 chain
 FORBIDDEN_SEEDS = (0.25, 0.5, 0.75)
@@ -49,11 +48,6 @@ class ChaosStream:
             raise ValueError("n must be >= 1")
         i = int(self.next() * n + 0.5)
         return n - 1 if i >= n else i
-
-
-def chaos_next(stream: ChaosStream) -> float:
-    """Functional alias for stream.next()."""
-    return stream.next()
 
 
 def chaos_position(stream: ChaosStream, m: int, exclude=frozenset()) -> int:
@@ -152,11 +146,6 @@ def trace_records(trace) -> list:
     ]
 
 
-def trace_jsonl(trace) -> str:
-    """JSON-lines text, one object per generation."""
-    return "\n".join(json.dumps(rec) for rec in trace_records(trace)) + "\n"
-
-
 def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
     """Fresh individual with n distinct chaotically drawn cells."""
     if n > m:
@@ -174,32 +163,21 @@ def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream 
     return [chaotic_layout(stream, m, n) for _ in range(params.population)]
 
 
-def worst_turbine(layout: Layout, grid, scenario, spec, numerator: str = "standard") -> int:
-    """Occupied index with the lowest expected individual power; ties resolve
-    to the lowest index."""
-    powers = expected_farm_power(
-        layout.positions(grid), scenario, spec, numerator
-    ).per_turbine_power
-    return layout.occupied[int(np.argmin(powers))]
-
-
-def _relocated(layout: Layout, worst: int, stream: ChaosStream) -> Layout:
-    rest = tuple(i for i in layout.occupied if i != worst)
-    fresh = chaos_position(stream, layout.m, set(layout.occupied))
-    return Layout(rest + (fresh,), layout.m)
-
-
-def relocate_worst(
-    layout: Layout, grid, scenario, spec, stream: ChaosStream, numerator: str = "standard"
-) -> Layout:
+def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
     """Move the least productive turbine to a chaotically drawn free cell.
 
-    The new cell excludes the entire current occupancy, so the move is a real
-    relocation; with no free cell (n == m) the layout is returned unchanged.
+    ``power`` is the expected power per turbine, ordered like
+    ``layout.occupied``; ties resolve to the lowest index. The new cell
+    excludes the entire current occupancy, so the move is a real relocation;
+    with no free cell (n == m) the layout is returned unchanged and the
+    stream is not advanced.
     """
     if layout.n == layout.m:
         return layout
-    return _relocated(layout, worst_turbine(layout, grid, scenario, spec, numerator), stream)
+    worst = layout.occupied[int(np.argmin(power))]
+    rest = tuple(i for i in layout.occupied if i != worst)
+    fresh = chaos_position(stream, layout.m, set(layout.occupied))
+    return Layout(rest + (fresh,), layout.m)
 
 
 def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
@@ -253,11 +231,7 @@ def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
         for i in range(params.relocations):
             if relocation:
                 parent = elites[i % len(elites)]
-                if parent.n == m:
-                    nxt.append(parent)
-                    continue
-                worst = parent.occupied[int(np.argmin(cache[parent.occupied][1]))]
-                nxt.append(_relocated(parent, worst, stream))
+                nxt.append(relocate(parent, cache[parent.occupied][1], stream))
             else:
                 # ablated baseline: plain chaotic individuals instead
                 nxt.append(chaotic_layout(stream, m, n_turbines))

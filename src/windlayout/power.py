@@ -9,46 +9,26 @@ import numpy as np
 from .wake import TurbineSpec, _check_distinct, squared_deficits
 
 
-@dataclass(frozen=True)
-class PowerCurve:
-    """Piecewise power curve: zero below cut-in, rated plateau above rated
+def power_values(spec: TurbineSpec, speeds) -> np.ndarray:
+    """Vectorised power output in kW for an array of wind speeds, on the
+    spec's piecewise curve: zero below cut-in, rated plateau above rated
     speed, zero at/after cut-out, quartic fit in between (clamped to
-    [0, p_max] since the fit slightly overshoots the plateau near rated)."""
-
-    cut_in: float = 3.0
-    rated_speed: float = 14.0
-    cut_out: float = 25.0
-    p_max: float = 5000.0  # kW
-    poly: tuple = (-0.9114, 21.6654, -113.1189, 201.1211, -55.0267)
-
-
-def curve_of(spec: TurbineSpec) -> PowerCurve:
-    """Power curve carried by a turbine spec."""
-    return PowerCurve(
-        cut_in=spec.cut_in,
-        rated_speed=spec.rated_speed,
-        cut_out=spec.cut_out,
-        p_max=spec.rated_power,
-        poly=tuple(spec.power_poly),
-    )
-
-
-def power_values(curve: PowerCurve, speeds) -> np.ndarray:
-    """Vectorised power output in kW for an array of wind speeds."""
+    [0, rated_power] since the fit slightly overshoots the plateau near
+    rated)."""
     u = np.asarray(speeds, dtype=float)
-    p = np.clip(np.polyval(curve.poly, u), 0.0, curve.p_max)
-    p = np.where(u < curve.cut_in, 0.0, p)
-    p = np.where(u >= curve.rated_speed, curve.p_max, p)
-    if math.isfinite(curve.cut_out):
-        p = np.where(u >= curve.cut_out, 0.0, p)
+    p = np.clip(np.polyval(spec.power_poly, u), 0.0, spec.rated_power)
+    p = np.where(u < spec.cut_in, 0.0, p)
+    p = np.where(u >= spec.rated_speed, spec.rated_power, p)
+    if math.isfinite(spec.cut_out):
+        p = np.where(u >= spec.cut_out, 0.0, p)
     return p
 
 
-def power_at(curve: PowerCurve, v: float) -> float:
+def power_at(spec: TurbineSpec, v: float) -> float:
     """Power output in kW at a single wind speed."""
     if not (math.isfinite(v) and v >= 0.0):
         raise ValueError(f"wind speed must be finite and >= 0, got {v!r}")
-    return float(power_values(curve, v))
+    return float(power_values(spec, v))
 
 
 def cost_curve(n_turbines: int) -> float:
@@ -313,26 +293,3 @@ class FarmEvaluator:
         speed = self._mean_speed @ ratio[:, 0, :]
         total = float(power[0].sum())
         return EvaluationResult(speed, power[0], total, total / (len(idx) * self.unit_power))
-
-    def per_turbine_power(self, indices=None) -> np.ndarray:
-        """Expected power per turbine, kW, ordered like the given indices."""
-        return self.evaluate(indices).per_turbine_power
-
-
-def expected_farm_power(positions, scenario, spec: TurbineSpec, numerator: str = "standard"):
-    """Expected farm power and efficiency of turbines at explicit positions.
-
-    Evaluates sum over bins of f_w(theta, v) * sum_i p_g(u_i) for the given
-    (n, 2) position array under the scenario's joint wind distribution.
-    """
-    return FarmEvaluator(positions, scenario, spec, numerator).evaluate()
-
-
-def efficiency(result: EvaluationResult, n_turbines: int, scenario, curve: PowerCurve) -> float:
-    """Farm efficiency: expected power over the wake-free expected power."""
-    if n_turbines < 1:
-        raise ValueError("n_turbines must be >= 1")
-    denom = n_turbines * sum(w * power_at(curve, v) for _, v, w in scenario.bins)
-    if denom <= 0.0:
-        raise ValueError("denominator degenerate: no bin yields wake-free power")
-    return result.total_power / denom

@@ -26,8 +26,8 @@ class Grid:
 
 def build_grid(side: float, cells: int) -> Grid:
     """Lattice of (cells+1)**2 corner points with spacing side/cells."""
-    if side <= 0:
-        raise ValueError("side must be positive")
+    if not 0 < side < math.inf:
+        raise ValueError("side must be finite and positive")
     if cells < 1:
         raise ValueError("cells must be >= 1")
     edge = side / cells

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optimizer import GAParams, run_aga, run_conventional_ga
+from .optimizer import FORBIDDEN_SEEDS, GAParams, run_aga, run_conventional_ga
 from .power import FarmEvaluator
 from .scenario import build_grid, uniform_layout
 
@@ -58,7 +58,7 @@ def repeat_seeds(base_seed: float, repeats: int) -> list:
     seeds = []
     for r in range(repeats):
         s = (base_seed + r * golden) % 1.0
-        while s in (0.25, 0.5, 0.75) or not 0.0 < s < 1.0:
+        while s in FORBIDDEN_SEEDS or not 0.0 < s < 1.0:
             s = (s + 1e-6) % 1.0
         seeds.append(s)
     return seeds
@@ -82,8 +82,9 @@ def shrink_sweep(
     best power is reported relative to the first (largest) edge.
     """
     edges = [float(e) for e in edges]
-    if len(edges) < 1 or any(b >= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("edges must be strictly descending from the baseline")
+    descending = all(a > b for a, b in zip(edges, edges[1:]))
+    if not (edges and descending and all(0 < e < math.inf for e in edges)):
+        raise ValueError("edges must be finite, positive and strictly descending from the baseline")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if spacing_check not in ("off", "strict"):

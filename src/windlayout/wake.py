@@ -1,4 +1,4 @@
-"""Jensen top-hat wake model: single-wake deficits, wake-interaction sets and
+"""Jensen top-hat wake model: single-wake deficits by pair offset and
 root-sum-square superposition into effective wind speeds."""
 
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import circle_overlap_area, overlap_areas, rotate_xy
+from .geometry import overlap_areas
 
 # Rotated-frame downwind separations at or below this (metres) count as
 # exactly side-by-side: a wake interaction needs strictly positive downwind
@@ -77,39 +77,6 @@ def _deficit_numerator(spec: TurbineSpec, mode: str) -> float:
     return 1.0 + root if mode == "paper_literal" else 1.0 - root
 
 
-def pairwise_deficit(
-    spec: TurbineSpec, distance: float, overlap_area: float, numerator: str = "standard"
-) -> float:
-    """Fractional speed deficit one turbine's wake imposes on another.
-
-    Parameters
-    ----------
-    spec : TurbineSpec
-        Shared turbine parameters.
-    distance : float
-        Downwind separation, metres (> 0; zero-distance pairs are outside
-        each other's wake set by definition).
-    overlap_area : float
-        Intersection of the wake disc with the downstream rotor disc, m**2.
-    numerator : str
-        "standard" uses 1 - sqrt(1 - Ct); "paper_literal" keeps the
-        1 + sqrt(1 - Ct) variant, which can exceed unity at short range.
-
-    Returns
-    -------
-    float
-        Deficit before superposition; zero when the overlap is zero.
-    """
-    if distance <= 0:
-        raise ValueError("distance must be positive; filter pairs by wake set first")
-    rotor_area = math.pi * spec.rotor_radius**2
-    if not 0.0 <= overlap_area <= rotor_area * (1.0 + 1e-12):
-        raise ValueError("overlap_area must lie in [0, pi * rotor_radius**2]")
-    k = decay_factor(spec)
-    amp = _deficit_numerator(spec, numerator) / (1.0 + k * distance / spec.rotor_radius) ** 2
-    return amp * (overlap_area / rotor_area)
-
-
 def _check_distinct(points: np.ndarray) -> None:
     if len(np.unique(points, axis=0)) != len(points):
         raise ValueError("positions must be pairwise distinct")
@@ -121,9 +88,14 @@ def squared_deficits(dx, dy, theta: float, spec: TurbineSpec, numerator: str = "
 
     dx, dy broadcast together: the position of the wake-casting turbine minus
     that of the waked one, metres. In the wind-aligned frame of
-    :func:`geometry.rotate_xy` the caster sits d = s*dx + c*dy upwind of the
+    :func:`geometry.rotate_frame` the caster sits d = s*dx + c*dy upwind of the
     other turbine at crosswind distance |c*dx - s*dy| (c, s: cosine and sine
     of theta). Zero unless d > DOWNWIND_EPS and the discs overlap.
+
+    The deficit is numerator / (1 + k*d/R)**2 times the overlap fraction of
+    the downstream rotor. The "standard" numerator is 1 - sqrt(1 - Ct);
+    "paper_literal" keeps the 1 + sqrt(1 - Ct) variant, which can exceed
+    unity at short range.
     """
     k = decay_factor(spec)
     R = spec.rotor_radius
@@ -156,48 +128,6 @@ def squared_deficit_matrix(
     dx = pts[None, :, 0] - pts[:, None, 0]  # dx[i, j] = x_j - x_i
     dy = pts[None, :, 1] - pts[:, None, 1]
     return squared_deficits(dx, dy, theta, spec, numerator)
-
-
-@dataclass(frozen=True)
-class WakeGraphEntry:
-    """One upwind-downwind interaction: j's wake reaching turbine i."""
-
-    downstream: int
-    upstream: int
-    distance: float  # m, along the wind
-    offset: float  # m, crosswind
-    overlap_area: float  # m**2
-
-
-def build_wake_sets(positions, theta: float, spec: TurbineSpec) -> list:
-    """Enumerate all wake interactions for one wind direction.
-
-    Positions are rotated into the wind-aligned frame; an entry is emitted
-    for every ordered pair whose downwind separation is strictly positive and
-    whose rotor/wake discs overlap. Entries are ordered by downstream index,
-    then upstream index.
-    """
-    pts = np.asarray(positions, dtype=float)
-    _check_distinct(pts)
-    k = decay_factor(spec)
-    R = spec.rotor_radius
-    xy = rotate_xy(pts, theta)
-    x, y = xy[:, 0], xy[:, 1]
-
-    entries = []
-    n = len(pts)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = float(y[j] - y[i])
-            if d <= DOWNWIND_EPS:
-                continue
-            off = abs(float(x[i] - x[j]))
-            area = circle_overlap_area(R + k * d, R, off)
-            if area > 0.0:
-                entries.append(WakeGraphEntry(i, j, d, off, area))
-    return entries
 
 
 def effective_speeds(

@@ -198,6 +198,23 @@ class TestCommands:
         assert "config error" in err and "finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        "[grid]\nside = inf\n",
+        "[grid]\nside = nan\n",
+        "[sweep]\nedges = 400 nan 280 220\n",
+        "[sweep]\nedges = 400 340 280\n",
+        "[sweep]\nedges = 400 340 -280 -320\n",
+        "[sweep]\nedges = 400 340 340 220\n",
+    ], ids=["side-inf", "side-nan", "edge-nan", "three-edges", "negative-edge", "repeated-edge"])
+    def test_bad_grid_or_edges_exit_1_before_any_run(self, tmp_path, capsys, text):
+        # each used to fail with exit 2 only after optimisations had run, or
+        # to write a nan row
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and ("[grid] side" in err or "[sweep] edges" in err)
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_power_poly_exits_1(self, tmp_path, capsys):
         # a NaN coefficient would score eta = nan instead of failing
         cfg = write_cfg(tmp_path, "[turbine]\npower_poly = nan 0 0 0 1\n" + SMALL_GRID)
@@ -278,18 +295,26 @@ repeats = 2
         assert out.count("PASS") == 3 and "FAIL" not in out
 
     def test_run_entry_point(self, tmp_path):
-        from windlayout.cli import run
-
-        cfg = load_config(write_cfg(tmp_path, SMALL_GRID + FAST_GA))
+        cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)
         out = tmp_path / "run_out"
-        assert run(cfg, str(out)) == 0
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
         assert {"layout.csv", "trace.jsonl", "summary.json"} <= set(os.listdir(out))
 
     def test_run_entry_point_error_exit(self, tmp_path, capsys):
-        from windlayout.cli import run
-
         blocked = tmp_path / "file"
         blocked.write_text("occupies the path")
-        cfg = load_config(None)
-        assert run(cfg, str(blocked / "sub")) == 2
+        assert main(["optimize", "--out", str(blocked / "sub")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_evaluate_rejects_layout_from_another_grid(self, tmp_path, capsys):
+        # the same indices on a 1000 m grid are other points: scoring them
+        # would print a plausible wrong efficiency
+        cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)
+        other = write_cfg(tmp_path, SMALL_GRID.replace("2000", "1000") + FAST_GA, "other.ini")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        code = main(["evaluate", "--config", other, "--out", str(out),
+                     "--layout", str(out / "layout.csv")])
+        assert code == 2
+        assert "not a point of the configured grid" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()

@@ -8,7 +8,6 @@ from windlayout.geometry import (
     circle_overlap_area,
     overlap_areas,
     rotate_frame,
-    rotate_xy,
 )
 from windlayout.oracle import mc_overlap
 
@@ -51,13 +50,6 @@ class TestRotateFrame:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             rotate_frame((math.nan, 0.0), 10.0)
-
-    def test_vectorised_agrees_with_scalar(self, rng):
-        pts = rng.uniform(-4000, 4000, size=(40, 2))
-        rotated = rotate_xy(pts, 123.4)
-        for row, p in zip(rotated, pts):
-            q = rotate_frame(p, 123.4)
-            assert row[0] == q.x and row[1] == q.y
 
 
 class TestCircleOverlapArea:

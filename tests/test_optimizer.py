@@ -5,16 +5,15 @@ from windlayout.optimizer import (
     ChaosStream,
     GAParams,
     Layout,
-    chaos_next,
     chaos_position,
     initialize_population,
     mutate_twice,
-    relocate_worst,
+    relocate,
     run_aga,
     run_conventional_ga,
-    trace_jsonl,
-    worst_turbine,
+    trace_records,
 )
+from windlayout.power import FarmEvaluator
 from windlayout.scenario import build_grid, single_bin, uniform_directions
 
 
@@ -46,10 +45,6 @@ class TestChaosStream:
         s = ChaosStream(0.123)
         vals = [s.next() for _ in range(10**5)]
         assert abs(np.mean(vals) - 0.5) < 0.02
-
-    def test_chaos_next_alias(self, stream):
-        other = ChaosStream(0.123)
-        assert chaos_next(stream) == other.next()
 
 
 class TestChaosPosition:
@@ -118,18 +113,32 @@ class TestInitializePopulation:
             initialize_population(self.small_params(2), 10, 11)
 
 
+def turbine_power(layout, grid, scenario, spec):
+    """Expected power per turbine of a layout, ordered like its indices."""
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
+    return evaluator.evaluate(layout.occupied).per_turbine_power
+
+
+def worst_moved(layout, grid, scenario, spec):
+    """The one index a relocation removes from the layout."""
+    power = turbine_power(layout, grid, scenario, spec)
+    moved = relocate(layout, power, ChaosStream(0.123))
+    (worst,) = set(layout.occupied) - set(moved.occupied)
+    return worst
+
+
 class TestWorstTurbine:
     def test_tie_breaks_to_lowest_index(self, spec):
         grid = build_grid(4000.0, 4)
         layout = Layout((0, 2, 4), grid.count)
         # crosswind row: all turbines wake-free and tied
-        assert worst_turbine(layout, grid, single_bin(0.0, 12.0), spec) == 0
+        assert worst_moved(layout, grid, single_bin(0.0, 12.0), spec) == 0
 
     def test_downstream_loser(self, spec):
         grid = build_grid(4000.0, 4)
         # same column, indices 2 (y=0) and 22 (y=4000); upwind has larger y
         layout = Layout((2, 22), grid.count)
-        assert worst_turbine(layout, grid, single_bin(0.0, 12.0), spec) == 2
+        assert worst_moved(layout, grid, single_bin(0.0, 12.0), spec) == 2
 
     def test_matches_exhaustive_per_turbine_power(self, spec, rng):
         from windlayout.oracle import straight_line_eval
@@ -139,7 +148,7 @@ class TestWorstTurbine:
         for _ in range(10):
             occ = tuple(sorted(rng.choice(grid.count, size=5, replace=False).tolist()))
             layout = Layout(occ, grid.count)
-            got = worst_turbine(layout, grid, scenario, spec)
+            got = worst_moved(layout, grid, scenario, spec)
             powers = straight_line_eval(layout.positions(grid), scenario, spec).per_turbine_power
             assert got == occ[int(np.argmin(powers))]
 
@@ -148,12 +157,16 @@ class TestRelocateWorst:
     def test_full_grid_unchanged(self, spec, stream):
         grid = build_grid(1000.0, 2)
         layout = Layout(tuple(range(grid.count)), grid.count)
-        assert relocate_worst(layout, grid, single_bin(0.0, 12.0), spec, stream) is layout
+        power = turbine_power(layout, grid, single_bin(0.0, 12.0), spec)
+        state = stream.state
+        assert relocate(layout, power, stream) is layout
+        assert stream.state == state  # no draw without a free cell
 
     def test_moves_downstream_turbine(self, spec, stream):
         grid = build_grid(4000.0, 4)
         layout = Layout((2, 22), grid.count)
-        moved = relocate_worst(layout, grid, single_bin(0.0, 12.0), spec, stream)
+        power = turbine_power(layout, grid, single_bin(0.0, 12.0), spec)
+        moved = relocate(layout, power, stream)
         assert moved.n == 2
         assert 22 in moved.occupied
         assert 2 not in moved.occupied
@@ -164,7 +177,7 @@ class TestRelocateWorst:
         for _ in range(50):
             occ = tuple(sorted(rng.choice(grid.count, size=6, replace=False).tolist()))
             layout = Layout(occ, grid.count)
-            moved = relocate_worst(layout, grid, scenario, spec, stream)
+            moved = relocate(layout, turbine_power(layout, grid, scenario, spec), stream)
             assert moved.n == 6
             assert len(set(moved.occupied)) == 6
 
@@ -248,7 +261,7 @@ class TestRunAga:
         (best_a, trace_a), (best_b, trace_b) = runs
         assert best_a == best_b
         assert trace_a == trace_b
-        assert trace_jsonl(trace_a) == trace_jsonl(trace_b)
+        assert trace_records(trace_a) == trace_records(trace_b)
 
     def test_operator_cardinality_sweep(self, spec):
         # every individual of every generation keeps exactly n occupied cells

@@ -7,13 +7,8 @@ import pytest
 from windlayout import power as power_module
 from windlayout.oracle import straight_line_eval
 from windlayout.power import (
-    EvaluationResult,
     FarmEvaluator,
-    PowerCurve,
     cost_curve,
-    curve_of,
-    efficiency,
-    expected_farm_power,
     power_at,
     power_values,
 )
@@ -25,53 +20,48 @@ from windlayout.scenario import (
     uniform_directions,
     weibull_rose,
 )
-from windlayout.wake import effective_speeds, squared_deficit_matrix
-
-
-@pytest.fixture(scope="module")
-def curve():
-    return PowerCurve()
+from windlayout.wake import TurbineSpec, effective_speeds, squared_deficit_matrix
 
 
 class TestPowerAt:
-    def test_below_cut_in(self, curve):
-        assert power_at(curve, 2.0) == 0.0
+    def test_below_cut_in(self, spec):
+        assert power_at(spec, 2.0) == 0.0
 
-    def test_rated_plateau(self, curve):
-        assert power_at(curve, 20.0) == 5000.0
-        assert power_at(curve, 14.0) == 5000.0
+    def test_rated_plateau(self, spec):
+        assert power_at(spec, 20.0) == 5000.0
+        assert power_at(spec, 14.0) == 5000.0
 
-    def test_quartic_overshoot_clamped(self, curve):
+    def test_quartic_overshoot_clamped(self, spec):
         # the fit slightly exceeds the plateau just below rated speed
-        raw = np.polyval(curve.poly, 14.0)
+        raw = np.polyval(spec.power_poly, 14.0)
         assert raw == pytest.approx(5026.88, abs=0.01)
-        assert power_at(curve, 13.999999) == 5000.0
+        assert power_at(spec, 13.999999) == 5000.0
 
-    def test_quartic_value(self, curve):
+    def test_quartic_value(self, spec):
         v = 10.0
         horner = 0.0
-        for c in curve.poly:
+        for c in spec.power_poly:
             horner = horner * v + c
-        assert power_at(curve, v) == pytest.approx(horner, rel=1e-14)
-        assert power_at(curve, v) == pytest.approx(3195.6943, abs=1e-4)
+        assert power_at(spec, v) == pytest.approx(horner, rel=1e-14)
+        assert power_at(spec, v) == pytest.approx(3195.6943, abs=1e-4)
 
-    def test_cut_out(self, curve):
-        assert power_at(curve, 25.0) == 0.0
-        assert power_at(curve, 30.0) == 0.0
+    def test_cut_out(self, spec):
+        assert power_at(spec, 25.0) == 0.0
+        assert power_at(spec, 30.0) == 0.0
 
     def test_no_cut_out_when_infinite(self):
-        c = PowerCurve(cut_out=math.inf)
-        assert power_at(c, 60.0) == c.p_max
+        s = TurbineSpec(cut_out=math.inf)
+        assert power_at(s, 60.0) == s.rated_power
 
-    def test_non_decreasing_below_rated(self, curve):
+    def test_non_decreasing_below_rated(self, spec):
         grid = np.arange(0.0, 14.0 + 1e-9, 0.01)
-        p = power_values(curve, grid)
+        p = power_values(spec, grid)
         assert np.all(np.diff(p) >= -1e-9)
         assert np.all(p >= 0.0)
 
-    def test_rejects_negative_speed(self, curve):
+    def test_rejects_negative_speed(self, spec):
         with pytest.raises(ValueError):
-            power_at(curve, -0.1)
+            power_at(spec, -0.1)
 
 
 class TestCostCurve:
@@ -90,8 +80,8 @@ class TestCostCurve:
 
 class TestExpectedFarmPower:
     def test_single_turbine_point_mass(self, spec):
-        result = expected_farm_power([(0.0, 0.0)], single_bin(0.0, 12.0), spec)
-        assert result.total_power == pytest.approx(power_at(curve_of(spec), 12.0), rel=1e-12)
+        result = FarmEvaluator([(0.0, 0.0)], single_bin(0.0, 12.0), spec).evaluate()
+        assert result.total_power == pytest.approx(power_at(spec, 12.0), rel=1e-12)
         assert result.efficiency == pytest.approx(1.0, rel=1e-12)
 
     def test_isolated_turbines_full_efficiency(self, spec):
@@ -99,8 +89,8 @@ class TestExpectedFarmPower:
         # a neighbour laterally, for any of the scenario's directions
         pos = [(i * 50000.0, i * 37000.0) for i in range(5)]
         scenario = uniform_directions(11.0, 4)
-        result = expected_farm_power(pos, scenario, spec)
-        unit = sum(w * power_at(curve_of(spec), v) for _, v, w in scenario.bins)
+        result = FarmEvaluator(pos, scenario, spec).evaluate()
+        unit = sum(w * power_at(spec, v) for _, v, w in scenario.bins)
         assert result.total_power == pytest.approx(5 * unit, rel=1e-12)
         assert result.efficiency == pytest.approx(1.0, rel=1e-12)
 
@@ -109,17 +99,17 @@ class TestExpectedFarmPower:
         a = single_bin(0.0, 9.0)
         b = single_bin(90.0, 13.0)
         mixed = WindScenario(((0.0, 9.0, 0.3), (90.0, 13.0, 0.7)), sector_count=2)
-        pa = expected_farm_power(pos, a, spec).total_power
-        pb = expected_farm_power(pos, b, spec).total_power
-        pm = expected_farm_power(pos, mixed, spec).total_power
+        pa = FarmEvaluator(pos, a, spec).evaluate().total_power
+        pb = FarmEvaluator(pos, b, spec).evaluate().total_power
+        pm = FarmEvaluator(pos, mixed, spec).evaluate().total_power
         assert pm == pytest.approx(0.3 * pa + 0.7 * pb, rel=1e-12)
 
     def test_efficiency_denominator_identity(self, spec, rng):
         # eta equals total power over the wake-free total of the same layout
         pos = rng.uniform(0, 2500, size=(8, 2))
         scenario = uniform_directions(12.0, 6)
-        result = expected_farm_power(pos, scenario, spec)
-        unit = sum(w * power_at(curve_of(spec), v) for _, v, w in scenario.bins)
+        result = FarmEvaluator(pos, scenario, spec).evaluate()
+        unit = sum(w * power_at(spec, v) for _, v, w in scenario.bins)
         assert result.efficiency == pytest.approx(result.total_power / (8 * unit), rel=1e-12)
 
     def test_rejects_unnormalised_scenario(self):
@@ -129,21 +119,23 @@ class TestExpectedFarmPower:
 
 class TestEfficiency:
     def test_wake_free_layout(self, spec):
-        result = expected_farm_power([(0.0, 0.0), (5000.0, 0.0)], single_bin(0.0, 12.0), spec)
-        assert efficiency(result, 2, single_bin(0.0, 12.0), curve_of(spec)) == pytest.approx(1.0)
+        pos = [(0.0, 0.0), (5000.0, 0.0)]
+        result = FarmEvaluator(pos, single_bin(0.0, 12.0), spec).evaluate()
+        assert result.efficiency == pytest.approx(1.0)
 
     def test_high_wind_plateau_gives_unity(self, spec):
         # waked pair, but the downstream speed stays on the rated plateau
         pos = [(0.0, 0.0), (0.0, 1500.0)]
         scenario = single_bin(0.0, 20.0)
-        result = expected_farm_power(pos, scenario, spec)
+        result = FarmEvaluator(pos, scenario, spec).evaluate()
         assert result.per_turbine_speed.min() >= 14.0
-        assert efficiency(result, 2, scenario, curve_of(spec)) == 1.0
+        assert result.efficiency == 1.0
 
     def test_degenerate_denominator(self, spec):
-        result = EvaluationResult(np.array([2.0]), np.array([0.0]), 0.0, 0.0)
+        # 2 m/s is below cut-in: no bin yields wake-free power
+        evaluator = FarmEvaluator([(0.0, 0.0)], single_bin(0.0, 2.0), spec)
         with pytest.raises(ValueError, match="denominator degenerate"):
-            efficiency(result, 1, single_bin(0.0, 2.0), curve_of(spec))
+            evaluator.evaluate()
 
 
 class TestFarmEvaluator:
@@ -153,7 +145,7 @@ class TestFarmEvaluator:
         for _ in range(5):
             idx = np.sort(rng.choice(default_grid.count, size=10, replace=False))
             via_table = evaluator.evaluate(idx)
-            direct = expected_farm_power(default_grid.points[idx], scenario, spec)
+            direct = FarmEvaluator(default_grid.points[idx], scenario, spec).evaluate()
             assert via_table.total_power == pytest.approx(direct.total_power, rel=1e-12)
             assert np.allclose(
                 via_table.per_turbine_power, direct.per_turbine_power, rtol=1e-12
@@ -166,7 +158,7 @@ class TestFarmEvaluator:
         pos = rng.uniform(0, 2000, size=(5, 2))
         got = FarmEvaluator(pos, scenario, spec).evaluate()
         speeds = [(w, effective_speeds(pos, t, v, spec)) for t, v, w in bins]
-        by_hand = sum(w * power_values(curve_of(spec), u) for w, u in speeds)
+        by_hand = sum(w * power_values(spec, u) for w, u in speeds)
         assert np.allclose(got.per_turbine_power, by_hand, rtol=1e-12)
         assert got.total_power == pytest.approx(by_hand.sum(), rel=1e-12)
         assert np.allclose(got.per_turbine_speed, sum(w * u for w, u in speeds), rtol=1e-12)
@@ -259,7 +251,7 @@ def pointwise_power(scenario, spec, ratio):
     thetas = list(dict.fromkeys(t for t, _, _ in scenario.bins))
     total = np.zeros(ratio.shape[1])
     for t, v, w in scenario.bins:
-        total += w * power_values(curve_of(spec), v * ratio[thetas.index(t)])
+        total += w * power_values(spec, v * ratio[thetas.index(t)])
     return total
 
 
@@ -317,7 +309,7 @@ class TestExpectedPowerTable:
         # plateau, 25.0 already cut out
         for v in (3.0, 14.0, 25.0):
             unit = FarmEvaluator([(0.0, 0.0)], single_bin(0.0, v), spec).unit_power
-            assert unit == pytest.approx(power_at(curve_of(spec), v), rel=1e-13, abs=0.0)
+            assert unit == pytest.approx(power_at(spec, v), rel=1e-13, abs=0.0)
         evaluator = FarmEvaluator([(0.0, 0.0)], CUT_SPEEDS, spec)
         by_hand = pointwise_power(CUT_SPEEDS, spec, np.ones((3, 1)))
         assert evaluator.unit_power == pytest.approx(by_hand[0], rel=1e-13)

@@ -1,12 +1,13 @@
-"""Property tests: the batched evaluator against the straight-line oracle on
-random turbines, wind scenarios (ragged and zero-weight bins included),
-layouts and both deficit numerators."""
+"""Property tests on random turbines, wind scenarios (ragged and zero-weight
+bins included), layouts and both deficit numerators: the batched evaluator
+against the straight-line oracle, 360-degree periodicity of the directions
+and invariance under reordering a row."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from windlayout.oracle import straight_line_eval
@@ -61,17 +62,23 @@ def scenarios(draw, spec):
     return WindScenario(tuple((t, v, w / total) for t, v, w in bins), sector_count=len(thetas))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_batched_evaluator_matches_oracle(data):
+def farms(data, min_turbines=1):
+    """A random spec, scenario, numerator, 4 x 4-cell grid and (P, n) block
+    of index rows."""
     spec = data.draw(turbine_specs())
     scenario = data.draw(scenarios(spec))
     numerator = data.draw(st.sampled_from(NUMERATOR_MODES))
     grid = build_grid(data.draw(st.floats(2.0, 6.0)) * spec.rotor_radius * 4, 4)
-    n = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(min_turbines, 6))
     rows = np.array(data.draw(st.lists(
         st.permutations(range(grid.count)).map(lambda p: p[:n]), min_size=1, max_size=4)))
+    return spec, scenario, numerator, grid, rows
 
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_evaluator_matches_oracle(data):
+    spec, scenario, numerator, grid, rows = farms(data)
     evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
     try:
         slow = [straight_line_eval(grid.points[row], scenario, spec, numerator) for row in rows]
@@ -84,3 +91,34 @@ def test_batched_evaluator_matches_oracle(data):
     for eta, power, ref in zip(etas, powers, slow):
         assert eta == pytest.approx(ref.efficiency, rel=1e-9, abs=1e-12)
         assert np.allclose(power, ref.per_turbine_power, rtol=1e-9, atol=1e-9 * spec.rated_power)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_directions_are_periodic_in_360_degrees(data):
+    spec, scenario, numerator, grid, rows = farms(data)
+    base = FarmEvaluator(grid.points, scenario, spec, numerator)
+    assume(base.unit_power > 0.0)
+    etas, powers = base.evaluate_batch(rows)
+    for turn in (360.0, -360.0):
+        bins = tuple((theta + turn, v, w) for theta, v, w in scenario.bins)
+        turned = WindScenario(bins, sector_count=scenario.sector_count)
+        turned_evaluator = FarmEvaluator(grid.points, turned, spec, numerator)
+        got_etas, got_powers = turned_evaluator.evaluate_batch(rows)
+        assert np.allclose(got_etas, etas, rtol=1e-12, atol=0.0)
+        assert np.allclose(got_powers, powers, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_permuting_a_row_permutes_its_power(data):
+    spec, scenario, numerator, grid, rows = farms(data, min_turbines=2)
+    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    assume(evaluator.unit_power > 0.0)
+    order = np.array(data.draw(st.permutations(range(rows.shape[1]))))
+    etas, powers = evaluator.evaluate_batch(rows)
+    got_etas, got_powers = evaluator.evaluate_batch(rows[:, order])
+    assert np.allclose(got_powers, powers[:, order], rtol=1e-12, atol=0.0)
+    # eta exceeds 1 where a wake pulls a turbine below cut-out; bound the
+    # reordered sum by 1e-15 of max(1, eta)
+    assert np.all(np.abs(got_etas - etas) <= 1e-15 * np.maximum(1.0, etas))

@@ -42,6 +42,9 @@ class TestBuildGrid:
             build_grid(0.0, 20)
         with pytest.raises(ValueError):
             build_grid(100.0, 0)
+        for side in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_grid(side, 20)
 
     def test_solution_space(self):
         # exact binomial count for the 16-of-441 placement problem
@@ -64,15 +67,15 @@ class TestScenarios:
         assert uniform_directions(9.0, 1).bins == single_bin(0.0, 9.0).bins
 
     def test_uniform_rose_power_is_directional_average(self, spec, rng):
-        from windlayout.power import expected_farm_power
+        from windlayout.power import FarmEvaluator
 
         pos = rng.uniform(0, 2500, size=(6, 2))
         rose = uniform_directions(12.0, 12)
         averaged = sum(
-            expected_farm_power(pos, single_bin(theta, 12.0), spec).total_power
+            FarmEvaluator(pos, single_bin(theta, 12.0), spec).evaluate().total_power
             for theta, _, _ in rose.bins
         ) / 12.0
-        assert expected_farm_power(pos, rose, spec).total_power == pytest.approx(
+        assert FarmEvaluator(pos, rose, spec).evaluate().total_power == pytest.approx(
             averaged, rel=1e-12
         )
 

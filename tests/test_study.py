@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,16 @@ class TestShrinkSweep:
         params = GAParams(population=10, elites=2, relocations=3, aliens=2)
         with pytest.raises(ValueError):
             shrink_sweep([100.0, 200.0], single_bin(0.0, 12.0), spec, params,
+                         repeats=1, cells=4, n_turbines=3)
+
+    @pytest.mark.parametrize("edges", [[400.0, math.nan, 300.0, 200.0], [math.inf, 300.0],
+                                       [300.0, -100.0]])
+    def test_rejects_non_finite_or_negative_edges(self, spec, edges):
+        # a NaN edge used to pass the descending check and report a
+        # power fraction of 1.0 on a grid of NaN points
+        params = GAParams(population=10, elites=2, relocations=3, aliens=2)
+        with pytest.raises(ValueError, match="finite, positive"):
+            shrink_sweep(edges, single_bin(0.0, 12.0), spec, params,
                          repeats=1, cells=4, n_turbines=3)
 
 

@@ -6,15 +6,13 @@ import pytest
 from windlayout.wake import (
     DOWNWIND_EPS,
     TurbineSpec,
-    build_wake_sets,
     decay_factor,
     effective_speeds,
-    pairwise_deficit,
     squared_deficit_matrix,
     squared_deficits,
     wake_radius,
 )
-from windlayout.geometry import overlap_areas, rotate_frame, rotate_xy
+from windlayout.geometry import circle_overlap_area, overlap_areas, rotate_frame
 
 
 class TestTurbineSpec:
@@ -77,82 +75,77 @@ class TestWakeRadius:
 
 
 class TestPairwiseDeficit:
+    """The deficit formula through ``squared_deficits``; at zero crosswind
+    offset the wake covers the whole downstream rotor."""
+
     def test_zero_overlap(self, spec):
-        assert pairwise_deficit(spec, 500.0, 0.0) == 0.0
+        # 2000 m crosswind, 500 m downwind: the discs are far apart
+        assert squared_deficits(2000.0, 500.0, 0.0, spec) == 0.0
 
     def test_full_overlap_value(self, onshore_spec):
         # direct evaluation of the deficit formula as the oracle
         k = decay_factor(onshore_spec)
         expected = (1.0 - math.sqrt(1.0 - 0.88)) / (1.0 + k * 250.0 / 20.0) ** 2
-        got = pairwise_deficit(onshore_spec, 250.0, math.pi * 20.0**2)
+        got = math.sqrt(squared_deficits(0.0, 250.0, 0.0, onshore_spec))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.137576, abs=1e-6)
 
     def test_decays_with_distance(self, spec):
-        area = math.pi * 63.0**2
-        assert pairwise_deficit(spec, 2000.0, area) < pairwise_deficit(spec, 200.0, area)
+        assert squared_deficits(0.0, 2000.0, 0.0, spec) < squared_deficits(0.0, 200.0, 0.0, spec)
 
     def test_paper_literal_numerator(self, spec):
-        area = math.pi * 63.0**2
-        standard = pairwise_deficit(spec, 300.0, area, "standard")
-        literal = pairwise_deficit(spec, 300.0, area, "paper_literal")
+        standard = math.sqrt(squared_deficits(0.0, 300.0, 0.0, spec, "standard"))
+        literal = math.sqrt(squared_deficits(0.0, 300.0, 0.0, spec, "paper_literal"))
         ratio = (1.0 + math.sqrt(0.12)) / (1.0 - math.sqrt(0.12))
         assert literal == pytest.approx(standard * ratio, rel=1e-12)
 
-    def test_rejects_non_positive_distance(self, spec):
-        with pytest.raises(ValueError):
-            pairwise_deficit(spec, 0.0, 100.0)
 
-    def test_rejects_oversized_overlap(self, spec):
-        with pytest.raises(ValueError):
-            pairwise_deficit(spec, 100.0, 2 * math.pi * 63.0**2)
+def wakes(positions, theta, spec):
+    """Ordered (waked, caster) pairs: the wake sets of one direction."""
+    return {tuple(p) for p in np.argwhere(squared_deficit_matrix(positions, theta, spec) > 0.0)}
 
 
 class TestBuildWakeSets:
+    """Wake sets read off the squared-deficit matrix: entry [i, j] > 0 when
+    turbine j's wake reaches turbine i."""
+
     def test_crosswind_pair_empty(self, spec):
         pos = [(0.0, 0.0), (400.0, 0.0)]
-        assert build_wake_sets(pos, 0.0, spec) == []
+        assert wakes(pos, 0.0, spec) == set()
 
     def test_aligned_pair_full_containment(self, spec):
         d = 7 * 63.0
         pos = [(0.0, 0.0), (0.0, d)]
-        entries = build_wake_sets(pos, 0.0, spec)
-        assert len(entries) == 1
-        e = entries[0]
-        assert (e.downstream, e.upstream) == (0, 1)
-        assert e.distance == pytest.approx(d)
-        assert e.offset == pytest.approx(0.0)
+        assert wakes(pos, 0.0, spec) == {(0, 1)}
         # wake radius exceeds the rotor at zero offset: rotor fully covered
-        assert e.overlap_area == pytest.approx(math.pi * 63.0**2, rel=1e-12)
+        k = decay_factor(spec)
+        full = ((1.0 - math.sqrt(0.12)) / (1.0 + k * d / 63.0) ** 2) ** 2
+        assert squared_deficit_matrix(pos, 0.0, spec)[0, 1] == pytest.approx(full, rel=1e-12)
 
     def test_antisymmetric(self, spec, rng):
         pos = rng.uniform(0, 4000, size=(12, 2))
         for theta in (0.0, 37.0, 210.0):
-            entries = build_wake_sets(pos, theta, spec)
-            pairs = {(e.downstream, e.upstream) for e in entries}
+            pairs = wakes(pos, theta, spec)
             assert all((j, i) not in pairs for i, j in pairs)
 
     def test_frame_invariance(self, spec, rng):
         pos = rng.uniform(0, 4000, size=(10, 2))
         theta, delta = 75.0, 30.0
-        base = build_wake_sets(pos, theta, spec)
-        moved = build_wake_sets(rotate_xy(pos, delta), theta - delta, spec)
-        assert len(base) == len(moved)
-        for a, b in zip(base, moved):
-            assert (a.downstream, a.upstream) == (b.downstream, b.upstream)
-            assert a.distance == pytest.approx(b.distance, abs=1e-6)
-            assert a.offset == pytest.approx(b.offset, abs=1e-6)
-            assert a.overlap_area == pytest.approx(b.overlap_area, rel=1e-6)
+        base = squared_deficit_matrix(pos, theta, spec)
+        rotated = [rotate_frame(p, delta) for p in pos]
+        moved = squared_deficit_matrix(rotated, theta - delta, spec)
+        assert np.array_equal(base > 0.0, moved > 0.0)
+        assert np.allclose(base, moved, rtol=1e-6, atol=1e-15)
 
     def test_rejects_duplicates(self, spec):
         with pytest.raises(ValueError):
-            build_wake_sets([(0.0, 0.0), (0.0, 0.0)], 0.0, spec)
+            squared_deficit_matrix([(0.0, 0.0), (0.0, 0.0)], 0.0, spec)
 
     def test_trig_noise_does_not_create_wakes(self, spec):
         # at 90 degrees a same-column pair becomes exactly crosswind; the
         # rotated separation is pure round-off and must stay excluded
         pos = [(0.0, 0.0), (0.0, 100.0)]
-        assert build_wake_sets(pos, 90.0, spec) == []
+        assert wakes(pos, 90.0, spec) == set()
 
 
 class TestEffectiveSpeeds:
@@ -218,7 +211,7 @@ class TestSquaredDeficitMatrix:
         mat = squared_deficit_matrix(pos, theta, spec)
         rotated = [rotate_frame(p, theta) for p in pos]
         k = decay_factor(spec)
-        from windlayout.geometry import circle_overlap_area
+        per_area = (1.0 - math.sqrt(0.12)) / (math.pi * 63.0**2)
 
         for i in range(6):
             for j in range(6):
@@ -229,7 +222,7 @@ class TestSquaredDeficitMatrix:
                     assert mat[i, j] == 0.0
                     continue
                 area = circle_overlap_area(63.0 + k * d, 63.0, abs(rotated[i].x - rotated[j].x))
-                expected = pairwise_deficit(spec, d, area) ** 2 if area > 0 else 0.0
+                expected = (per_area * area / (1.0 + k * d / 63.0) ** 2) ** 2
                 assert mat[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
@@ -237,8 +230,7 @@ def rotated_frame_matrix(positions, theta, spec, numerator="standard"):
     """Squared pairwise deficits from positions rotated into the wind frame,
     the form the dense tables used before the deficit was keyed on the pair
     offset: d[i, j] = y'_j - y'_i, crosswind |x'_i - x'_j|."""
-    xy = rotate_xy(np.asarray(positions, dtype=float), theta)
-    x, y = xy[:, 0], xy[:, 1]
+    x, y = np.array([rotate_frame(p, theta) for p in positions]).T
     k, R = decay_factor(spec), spec.rotor_radius
     d = y[None, :] - y[:, None]
     upwind = d > DOWNWIND_EPS
