@@ -14,8 +14,7 @@ preset with all defaults. Sections and keys::
                 theta, speed, sectors, weibull_shape, weibull_scale,
                 speed_bin_width, speed_max
     [ga]        population, elites, relocations, aliens, max_generations,
-                target_efficiency (number or 'none'), seed,
-                mutation_parent = elite_pool|best_only
+                target_efficiency (finite number or 'none'), seed
     [model]     deficit_numerator = standard|paper_literal
                 uniform_pattern = line|square_lattice
                 spacing_check = off|strict
@@ -23,6 +22,7 @@ preset with all defaults. Sections and keys::
     [compare]   seeds (count of paired seeds)
     [output]    dir
 
+A key not listed under its section here is a config error.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 verification
 failure. The output directory resolves as --out flag, then [output] dir,
 then $WINDLAYOUT_OUT, then ./out.
@@ -37,10 +37,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .geometry import circle_overlap_area
-from .oracle import exhaustive_best, mc_overlap, straight_line_eval
+from .oracle import cross_checks
 from .optimizer import GAParams, Layout, run_aga, trace_records
 from .power import FarmEvaluator, cost_curve
 from .scenario import (
@@ -97,33 +94,91 @@ def _fail(section, key, message):
     raise ConfigError(f"[{section}] {key}: {message}")
 
 
-def _get(parser, section, key, default, convert, check=None, constraint=""):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        value = convert(raw.strip())
-    except (ValueError, TypeError):
-        _fail(section, key, f"cannot parse {raw.strip()!r}")
-    if check is not None and not check(value):
-        _fail(section, key, constraint or "constraint violated")
-    return value
-
-
 def _positive(value) -> bool:
     return 0 < value < math.inf
 
 
-def _get_choice(parser, section, key, default, choices):
-    value = parser.get(section, key, fallback=default).strip()
-    if value not in choices:
-        _fail(section, key, f"must be one of {sorted(choices)}, got {value!r}")
+def _at_least(low):
+    return lambda value: value >= low
+
+
+def _floats(raw):
+    return tuple(float(tok) for tok in raw.split())
+
+
+def _target(raw):
+    return None if raw.lower() in ("none", "off") else float(raw)
+
+
+def _edges_ok(edges) -> bool:
+    # the cubic fit of the sweep needs 4 points; checked before any run
+    return (len(edges) >= 4 and all(map(_positive, edges))
+            and all(a > b for a, b in zip(edges, edges[1:])))
+
+
+_FINITE = "must be finite and > 0"
+_TURBINE_FLOATS = ("rotor_radius", "hub_height", "thrust_coefficient", "surface_roughness",
+                   "rated_power", "cut_in", "rated_speed", "cut_out")
+
+# (section, key) -> (convert or allowed values, default, check, message);
+# a default of None under [turbine] keeps the TurbineSpec default
+CONFIG_KEYS = {
+    ("grid", "side"): (float, 4000.0, _positive, "side must be finite and > 0"),
+    ("grid", "cells"): (int, 20, _at_least(1), "cells >= 1"),
+    ("grid", "turbines"): (int, 16, _at_least(1), "turbines >= 1"),
+    **{("turbine", key): (float, None, None, "") for key in _TURBINE_FLOATS},
+    ("turbine", "power_poly"): (_floats, None, None, ""),
+    ("scenario", "case"): (("case1", "case2", "case3", "case4", "custom"), "case1", None, ""),
+    ("scenario", "kind"): (("single", "uniform", "weibull"), "single", None, ""),
+    ("scenario", "theta"): (float, 0.0, None, ""),
+    ("scenario", "speed"): (float, 12.0, _at_least(0), "speed >= 0"),
+    ("scenario", "sectors"): (int, 12, _at_least(1), "sectors >= 1"),
+    ("scenario", "weibull_shape"): (float, 2.1, _positive, _FINITE),
+    ("scenario", "weibull_scale"): (float, 10.5, _positive, _FINITE),
+    ("scenario", "speed_bin_width"): (float, 1.0, _positive, _FINITE),
+    ("scenario", "speed_max"): (float, 30.0, _positive, _FINITE),
+    ("ga", "population"): (int, 120, _at_least(1), ">= 1"),
+    ("ga", "elites"): (int, 12, _at_least(1), ">= 1"),
+    ("ga", "relocations"): (int, 36, _at_least(0), ">= 0"),
+    ("ga", "aliens"): (int, 12, _at_least(0), ">= 0"),
+    ("ga", "max_generations"): (int, 200, _at_least(0), ">= 0"),
+    ("ga", "target_efficiency"): (_target, None, None, ""),  # absent: 1.0 for cases 1-2
+    ("ga", "seed"): (float, 0.1357, None, ""),
+    ("model", "deficit_numerator"): (NUMERATOR_MODES, "standard", None, ""),
+    ("model", "uniform_pattern"): (("line", "square_lattice"), "line", None, ""),
+    ("model", "spacing_check"): (("off", "strict"), "off", None, ""),
+    ("sweep", "edges"): (_floats, tuple(float(e) for e in range(200, 99, -10)), _edges_ok,
+                         "need at least 4 finite, positive, strictly descending edges"),
+    ("sweep", "repeats"): (int, 5, _at_least(1), ">= 1"),
+    ("compare", "seeds"): (int, 5, _at_least(1), ">= 1"),
+    ("output", "dir"): (str, None, None, ""),
+}
+
+
+def _read(parser, section, key):
+    convert, default, check, message = CONFIG_KEYS[section, key]
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
+        return default
+    if isinstance(convert, tuple):
+        if raw not in convert:
+            _fail(section, key, f"must be one of {sorted(convert)}, got {raw!r}")
+        return raw
+    try:
+        value = convert(raw)
+    except (ValueError, TypeError):
+        _fail(section, key, f"cannot parse {raw!r}")
+    if check is not None and not check(value):
+        _fail(section, key, message)
     return value
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Parse and validate a config file; None means all defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse and validate a config file; None means all defaults. A key
+    outside ``CONFIG_KEYS`` is an error."""
+    # default_section="" makes [DEFAULT] an ordinary section, checked like the
+    # rest; configparser would otherwise copy its keys into every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -132,131 +187,63 @@ def load_config(path: str | None) -> RunConfig:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in CONFIG_KEYS:
+                _fail(section, key, "unknown key")
+    v = {key: _read(parser, *key) for key in CONFIG_KEYS}
 
-    side = _get(parser, "grid", "side", 4000.0, float, _positive, "side must be finite and > 0")
-    cells = _get(parser, "grid", "cells", 20, int, lambda v: v >= 1, "cells >= 1")
-    turbines = _get(parser, "grid", "turbines", 16, int, lambda v: v >= 1, "turbines >= 1")
+    cells, turbines = v["grid", "cells"], v["grid", "turbines"]
     if turbines > (cells + 1) ** 2:
         _fail("grid", "turbines", f"cannot exceed candidate count {(cells + 1) ** 2}")
-
-    spec_kwargs = {}
-    for key, cast in (
-        ("rotor_radius", float),
-        ("hub_height", float),
-        ("thrust_coefficient", float),
-        ("surface_roughness", float),
-        ("rated_power", float),
-        ("cut_in", float),
-        ("rated_speed", float),
-        ("cut_out", float),
-    ):
-        value = _get(parser, "turbine", key, None, cast)
-        if value is not None:
-            spec_kwargs[key] = value
-    poly_raw = parser.get("turbine", "power_poly", fallback=None)
-    if poly_raw is not None:
-        try:
-            coeffs = tuple(float(tok) for tok in poly_raw.split())
-        except ValueError:
-            _fail("turbine", "power_poly", f"cannot parse {poly_raw!r}")
-        spec_kwargs["power_poly"] = coeffs
     try:
-        spec = TurbineSpec(**spec_kwargs)
+        spec = TurbineSpec(**{key: value for (section, key), value in v.items()
+                              if section == "turbine" and value is not None})
     except ValueError as exc:
         raise ConfigError(f"[turbine] {exc}") from exc
 
-    case = _get_choice(
-        parser, "scenario", "case", "case1", ("case1", "case2", "case3", "case4", "custom")
-    )
-    if case == "custom":
-        kind = _get_choice(parser, "scenario", "kind", "single", ("single", "uniform", "weibull"))
-        theta = _get(parser, "scenario", "theta", 0.0, float)
-        speed = _get(parser, "scenario", "speed", 12.0, float, lambda v: v >= 0, "speed >= 0")
-        sectors = _get(parser, "scenario", "sectors", 12, int, lambda v: v >= 1, "sectors >= 1")
-        if kind == "weibull":
-            finite = "must be finite and > 0"
-            shape = _get(parser, "scenario", "weibull_shape", 2.1, float, _positive, finite)
-            scale = _get(parser, "scenario", "weibull_scale", 10.5, float, _positive, finite)
-            width = _get(parser, "scenario", "speed_bin_width", 1.0, float, _positive, finite)
-            vmax = _get(parser, "scenario", "speed_max", 30.0, float, _positive, finite)
-        try:
-            if kind == "single":
-                scenario = single_bin(theta, speed)
-            elif kind == "uniform":
-                scenario = uniform_directions(speed, sectors)
-            else:
-                edges = [w * width for w in range(int(math.ceil(vmax / width)) + 1)]
-                scenario = weibull_rose(shape, scale, edges, [1.0 / sectors] * sectors)
-        except ValueError as exc:
-            # non-finite or inconsistent scenario values (WindScenario checks)
-            raise ConfigError(f"[scenario] {exc}") from exc
-    else:
-        scenario = case_scenario(case)
-
-    target_raw = parser.get("ga", "target_efficiency", fallback=None)
-    if target_raw is None:
-        target = 1.0 if case in ("case1", "case2") else None
-    elif target_raw.strip().lower() in ("none", "off"):
-        target = None
-    else:
-        try:
-            target = float(target_raw)
-        except ValueError:
-            _fail("ga", "target_efficiency", f"cannot parse {target_raw!r}")
-    ga_kwargs = dict(
-        population=_get(parser, "ga", "population", 120, int, lambda v: v >= 1, ">= 1"),
-        elites=_get(parser, "ga", "elites", 12, int, lambda v: v >= 1, ">= 1"),
-        relocations=_get(parser, "ga", "relocations", 36, int, lambda v: v >= 0, ">= 0"),
-        aliens=_get(parser, "ga", "aliens", 12, int, lambda v: v >= 0, ">= 0"),
-        max_generations=_get(parser, "ga", "max_generations", 200, int, lambda v: v >= 0, ">= 0"),
-        target_efficiency=target,
-        chaos_seed=_get(parser, "ga", "seed", 0.1357, float),
-        mutation_parent=_get_choice(
-            parser, "ga", "mutation_parent", "elite_pool", ("elite_pool", "best_only")
-        ),
-    )
+    case, kind = v["scenario", "case"], v["scenario", "kind"]
+    speed, sectors = v["scenario", "speed"], v["scenario", "sectors"]
     try:
-        ga = GAParams(**ga_kwargs)
+        if case != "custom":
+            scenario = case_scenario(case)
+        elif kind == "single":
+            scenario = single_bin(v["scenario", "theta"], speed)
+        elif kind == "uniform":
+            scenario = uniform_directions(speed, sectors)
+        else:
+            width = v["scenario", "speed_bin_width"]
+            edges = [w * width for w in range(int(math.ceil(v["scenario", "speed_max"] / width)) + 1)]
+            scenario = weibull_rose(v["scenario", "weibull_shape"], v["scenario", "weibull_scale"],
+                                    edges, [1.0 / sectors] * sectors)
+    except ValueError as exc:
+        # non-finite or inconsistent scenario values (WindScenario checks)
+        raise ConfigError(f"[scenario] {exc}") from exc
+
+    ga = {key: value for (section, key), value in v.items() if section == "ga"}
+    ga["chaos_seed"] = ga.pop("seed")
+    if not parser.has_option("ga", "target_efficiency"):
+        ga["target_efficiency"] = 1.0 if case in ("case1", "case2") else None
+    try:
+        ga = GAParams(**ga)
     except ValueError as exc:
         raise ConfigError(f"[ga] {exc}") from exc
 
-    numerator = _get_choice(parser, "model", "deficit_numerator", "standard", NUMERATOR_MODES)
-    pattern = _get_choice(
-        parser, "model", "uniform_pattern", "line", ("line", "square_lattice")
-    )
-    spacing = _get_choice(parser, "model", "spacing_check", "off", ("off", "strict"))
-
-    edges_raw = parser.get("sweep", "edges", fallback=None)
-    if edges_raw is None:
-        sweep_edges = [float(e) for e in range(200, 99, -10)]
-    else:
-        try:
-            sweep_edges = [float(tok) for tok in edges_raw.split()]
-        except ValueError:
-            _fail("sweep", "edges", f"cannot parse {edges_raw!r}")
-    # the cubic fit of the sweep needs 4 points; checked before any run
-    if not (len(sweep_edges) >= 4 and all(map(_positive, sweep_edges))
-            and all(a > b for a, b in zip(sweep_edges, sweep_edges[1:]))):
-        _fail("sweep", "edges", "need at least 4 finite, positive, strictly descending edges")
-    sweep_repeats = _get(parser, "sweep", "repeats", 5, int, lambda v: v >= 1, ">= 1")
-    compare_seeds = _get(parser, "compare", "seeds", 5, int, lambda v: v >= 1, ">= 1")
-
-    out_dir = parser.get("output", "dir", fallback=None)
     return RunConfig(
-        side=side,
+        side=v["grid", "side"],
         cells=cells,
         turbines=turbines,
         spec=spec,
         case=case,
         scenario=scenario,
         ga=ga,
-        numerator=numerator,
-        uniform_pattern=pattern,
-        spacing_check=spacing,
-        sweep_edges=sweep_edges,
-        sweep_repeats=sweep_repeats,
-        compare_seeds=compare_seeds,
-        out_dir=out_dir,
+        numerator=v["model", "deficit_numerator"],
+        uniform_pattern=v["model", "uniform_pattern"],
+        spacing_check=v["model", "spacing_check"],
+        sweep_edges=list(v["sweep", "edges"]),
+        sweep_repeats=v["sweep", "repeats"],
+        compare_seeds=v["compare", "seeds"],
+        out_dir=v["output", "dir"],
     )
 
 
@@ -304,11 +291,11 @@ def write_trace_records(path, records):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_json(path, payload, schema):
-    _write_text(path, json.dumps({"schema": schema, **payload}, indent=2) + "\n")
+def write_json(path, payload):
+    _write_text(path, json.dumps({"schema": SUMMARY_SCHEMA, **payload}, indent=2) + "\n")
 
 
-def _cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
+def _cmd_optimize(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
     t0 = time.perf_counter()
     best, trace = run_aga(cfg.ga, grid, cfg.scenario, cfg.spec, cfg.turbines, cfg.numerator)
@@ -325,7 +312,6 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
             "generations": last.generation,
             "wall_time_s": wall,
         },
-        SUMMARY_SCHEMA,
     )
     print(
         f"optimize: case={cfg.case} eta={last.best_eta:.6f} "
@@ -334,9 +320,9 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _cmd_evaluate(cfg: RunConfig, out_dir: str, layout_path: str) -> int:
+def _cmd_evaluate(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
-    layout = read_layout_csv(layout_path, grid)
+    layout = read_layout_csv(args.layout, grid)
     result = FarmEvaluator(grid.points, cfg.scenario, cfg.spec, cfg.numerator).evaluate(
         layout.occupied
     )
@@ -350,13 +336,12 @@ def _cmd_evaluate(cfg: RunConfig, out_dir: str, layout_path: str) -> int:
             "per_turbine_speed": [float(u) for u in result.per_turbine_speed],
             "per_turbine_power_kw": [float(p) for p in result.per_turbine_power],
         },
-        SUMMARY_SCHEMA,
     )
     print(f"evaluate: eta={result.efficiency:.6f} P={result.total_power:.1f} kW")
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
+def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
     sweep = shrink_sweep(
         cfg.sweep_edges,
         cfg.scenario,
@@ -381,12 +366,12 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
         payload["budget_5pct_area_saving"] = saving
     except ValueError as exc:
         payload["budget_5pct_error"] = str(exc)
-    write_json(os.path.join(out_dir, "sweep_summary.json"), payload, SUMMARY_SCHEMA)
+    write_json(os.path.join(out_dir, "sweep_summary.json"), payload)
     print(f"sweep: {len(sweep)} edges, smallest power fraction {sweep[-1].power_fraction:.4f}")
     return 0
 
 
-def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
+def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
     seeds = repeat_seeds(cfg.ga.chaos_seed, cfg.compare_seeds)
     pairs = convergence_comparison(
@@ -396,9 +381,10 @@ def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
         records = [{"seed": p["seed"], **rec} for p in pairs for rec in trace_records(p[loop])]
         write_trace_records(os.path.join(out_dir, f"{loop}_trace.jsonl"), records)
 
-    record = compare_uniform_vs_aga(
-        grid, cfg.scenario, cfg.spec, cfg.ga, cfg.turbines, cfg.uniform_pattern, cfg.numerator
-    )
+    # pair 0 runs the base seed (repeat_seeds(s, r)[0] == s): its best layout
+    # is the optimized layout to compare
+    record = compare_uniform_vs_aga(grid, cfg.scenario, cfg.spec, pairs[0]["aga"][-1].best_layout,
+                                    cfg.uniform_pattern, cfg.numerator)
     write_json(
         os.path.join(out_dir, "comparison.json"),
         {
@@ -409,7 +395,6 @@ def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
             "aga_power_kw": record.aga_power,
             "aga_eta": record.aga_eta,
         },
-        SUMMARY_SCHEMA,
     )
     print(
         f"compare: uniform eta={record.uniform_eta:.6f} vs optimized eta={record.aga_eta:.6f}"
@@ -417,58 +402,15 @@ def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    failures = 0
-
-    # closed-form overlap vs Monte-Carlo, random triples
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(30):
-        r = float(rng.uniform(20, 200))
-        R = float(rng.uniform(20, 200))
-        off = float(rng.uniform(0, r + R + 50))
-        est, se = mc_overlap(r, R, off, 10**5, seed=int(rng.integers(2**31)))
-        dev = abs(circle_overlap_area(r, R, off) - est) / max(se, 1e-9)
-        worst = max(worst, dev)
-    ok = worst <= 4.0
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} overlap-vs-monte-carlo (max deviation {worst:.2f} se)")
-
-    # fast evaluator vs straight-line re-evaluation
-    grid = build_grid(cfg.side, cfg.cells)
-    evaluator = FarmEvaluator(grid.points, cfg.scenario, cfg.spec, cfg.numerator)
-    worst = 0.0
-    for _ in range(10):
-        idx = np.sort(rng.choice(grid.count, size=cfg.turbines, replace=False))
-        a = evaluator.evaluate(idx)
-        b = straight_line_eval(grid.points[idx], cfg.scenario, cfg.spec, cfg.numerator)
-        worst = max(
-            worst,
-            abs(a.total_power - b.total_power) / b.total_power,
-            abs(a.efficiency - b.efficiency) / b.efficiency,
-        )
-    ok = worst <= 1e-9
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} evaluator-vs-straight-line (max rel dev {worst:.2e})")
-
-    # optimizer vs exhaustive search on small instances
-    worst = 0.0
-    for cells, edge in ((4, 120.0), (5, 110.0)):
-        small = build_grid(cells * edge, cells)
-        scenario = uniform_directions(10.0, 12)
-        _, opt_eta = exhaustive_best(small, 3, scenario, cfg.spec, cfg.numerator)
-        params = replace(cfg.ga, population=60, elites=6, relocations=18, aliens=6,
-                         max_generations=300, target_efficiency=opt_eta)
-        _, trace = run_aga(params, small, scenario, cfg.spec, 3, cfg.numerator)
-        worst = max(worst, opt_eta - trace[-1].best_eta)
-    ok = worst <= 1e-12
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} optimizer-vs-exhaustive (max eta shortfall {worst:.2e})")
-
-    return 3 if failures else 0
+def _cmd_verify(cfg: RunConfig, out_dir: str, args) -> int:
+    checks = cross_checks(build_grid(cfg.side, cfg.cells), cfg.scenario, cfg.spec, cfg.turbines,
+                          cfg.ga, cfg.numerator)
+    for name, passed, detail in checks:
+        print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
+    return 0 if all(passed for _, passed, _ in checks) else 3
 
 
-def _cmd_cost_curve(out_dir: str, n_max: int = 100) -> int:
+def _cmd_cost_curve(cfg: RunConfig, out_dir: str, args, n_max: int = 100) -> int:
     lines = [f"# {SWEEP_SCHEMA}", "n,total_cost"]
     lines += [f"{n},{cost_curve(n)!r}" for n in range(1, n_max + 1)]
     _write_text(os.path.join(out_dir, "cost_curve.csv"), "\n".join(lines) + "\n")
@@ -476,19 +418,22 @@ def _cmd_cost_curve(out_dir: str, n_max: int = 100) -> int:
     return 0
 
 
+_COMMANDS = {
+    "optimize": (_cmd_optimize, "run the layout search and write layout/trace/summary"),
+    "evaluate": (_cmd_evaluate, "score a saved layout file under the configured scenario"),
+    "sweep": (_cmd_sweep, "area-shrinking study with cubic fit"),
+    "compare": (_cmd_compare, "paired convergence traces and uniform-baseline comparison"),
+    "verify": (_cmd_verify, "run the independent oracle cross-checks"),
+    "cost-curve": (_cmd_cost_curve, "emit the fixed-count cost table"),
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windlayout", description="Wake-aware wind farm layout optimization"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("optimize", "run the layout search and write layout/trace/summary"),
-        ("evaluate", "score a saved layout file under the configured scenario"),
-        ("sweep", "area-shrinking study with cubic fit"),
-        ("compare", "paired convergence traces and uniform-baseline comparison"),
-        ("verify", "run the independent oracle cross-checks"),
-        ("cost-curve", "emit the fixed-count cost table"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="path to the INI config file")
         cmd.add_argument("--seed", type=float, default=None, help="chaos seed override in (0,1)")
@@ -515,19 +460,8 @@ def main(argv=None) -> int:
         out_dir = resolve_out_dir(cfg, args.out)
         if args.command != "verify":
             os.makedirs(out_dir, exist_ok=True)
-        if args.command == "optimize":
-            return _cmd_optimize(cfg, out_dir)
-        if args.command == "evaluate":
-            return _cmd_evaluate(cfg, out_dir, args.layout)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir)
-        if args.command == "compare":
-            return _cmd_compare(cfg, out_dir)
-        if args.command == "verify":
-            return _cmd_verify(cfg)
-        if args.command == "cost-curve":
-            return _cmd_cost_curve(out_dir)
-        raise RuntimeError(f"unhandled command {args.command}")  # pragma: no cover
+        handler, _ = _COMMANDS[args.command]
+        return handler(cfg, out_dir, args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,7 +107,6 @@ class GAParams:
     max_generations: int = 200
     target_efficiency: float | None = None
     chaos_seed: float = 0.1357
-    mutation_parent: str = "elite_pool"  # or "best_only"
 
     def __post_init__(self):
         if min(self.population, self.relocations, self.aliens, self.max_generations) < 0:
@@ -118,8 +117,8 @@ class GAParams:
             raise ValueError("elites + relocations + aliens must not exceed population")
         if not 0.0 < self.chaos_seed < 1.0 or self.chaos_seed in FORBIDDEN_SEEDS:
             raise ValueError(f"chaos_seed must lie in (0, 1) and avoid {FORBIDDEN_SEEDS}")
-        if self.mutation_parent not in ("elite_pool", "best_only"):
-            raise ValueError("mutation_parent must be 'elite_pool' or 'best_only'")
+        if self.target_efficiency is not None and not np.isfinite(self.target_efficiency):
+            raise ValueError("target_efficiency must be None or a finite number")
 
 
 @dataclass(frozen=True)
@@ -238,10 +237,7 @@ def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
         for _ in range(params.aliens):
             nxt.append(chaotic_layout(stream, m, n_turbines))
         for _ in range(params.population - len(nxt)):
-            if params.mutation_parent == "best_only":
-                parent = elites[0]
-            else:
-                parent = elites[stream.index(len(elites))]
+            parent = elites[stream.index(len(elites))]
             nxt.append(mutate_twice(parent, stream) if parent.n < m else parent)
         population = nxt
         generation += 1

@@ -1,19 +1,22 @@
-"""Independent brute-force checks used by tests and the verify command:
-Monte-Carlo disc overlap, a naive re-evaluation of the speed/power chain, and
-exhaustive search on small instances.
+"""Independent brute-force checks: Monte-Carlo disc overlap, a naive
+re-evaluation of the speed/power chain, and exhaustive search on small
+instances; and ``cross_checks``, which runs the fast path against each of
+them for the tests and the verify command.
 
-The evaluation path here deliberately shares nothing with the wake module
-beyond the geometry primitives: plain Python loops, scalar math, formulas
-written out inline."""
+The three checkers deliberately share nothing with the wake module or the
+fast evaluator beyond the geometry primitives: plain Python loops, scalar
+math, formulas written out inline."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .geometry import circle_overlap_area, rotate_frame
-from .optimizer import Layout
-from .power import EvaluationResult
+from .optimizer import Layout, run_aga
+from .power import EvaluationResult, FarmEvaluator
+from .scenario import build_grid, uniform_directions
 
 
 def mc_overlap(wake_radius: float, rotor_radius: float, offset: float, samples: int, seed: int = 0):
@@ -100,3 +103,46 @@ def exhaustive_best(grid, n: int, scenario, spec, numerator: str = "standard", c
         if eta > best_eta:
             best_combo, best_eta = combo, eta
     return Layout(best_combo, m), best_eta
+
+
+def cross_checks(grid, scenario, spec, n_turbines: int, ga, numerator: str = "standard") -> list:
+    """Run the fast path against each checker above: the closed-form overlap,
+    the evaluator on random layouts of ``grid`` and the search on two small
+    grids. One generator seeded with 0 draws the inputs of the first two in
+    turn. Returns (name, passed, detail) triples."""
+    checks = []
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(30):
+        r = float(rng.uniform(20, 200))
+        R = float(rng.uniform(20, 200))
+        off = float(rng.uniform(0, r + R + 50))
+        est, se = mc_overlap(r, R, off, 10**5, seed=int(rng.integers(2**31)))
+        dev = abs(circle_overlap_area(r, R, off) - est) / max(se, 1e-9)
+        worst = max(worst, dev)
+    checks.append(("overlap-vs-monte-carlo", worst <= 4.0, f"max deviation {worst:.2f} se"))
+
+    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    worst = 0.0
+    for _ in range(10):
+        idx = np.sort(rng.choice(grid.count, size=n_turbines, replace=False))
+        a = evaluator.evaluate(idx)
+        b = straight_line_eval(grid.points[idx], scenario, spec, numerator)
+        worst = max(
+            worst,
+            abs(a.total_power - b.total_power) / b.total_power,
+            abs(a.efficiency - b.efficiency) / b.efficiency,
+        )
+    checks.append(("evaluator-vs-straight-line", worst <= 1e-9, f"max rel dev {worst:.2e}"))
+
+    worst = 0.0
+    for cells, edge in ((4, 120.0), (5, 110.0)):
+        small = build_grid(cells * edge, cells)
+        rose = uniform_directions(10.0, 12)
+        _, opt_eta = exhaustive_best(small, 3, rose, spec, numerator)
+        params = replace(ga, population=60, elites=6, relocations=18, aliens=6,
+                         max_generations=300, target_efficiency=opt_eta)
+        _, trace = run_aga(params, small, rose, spec, 3, numerator)
+        worst = max(worst, opt_eta - trace[-1].best_eta)
+    checks.append(("optimizer-vs-exhaustive", worst <= 1e-12, f"max eta shortfall {worst:.2e}"))
+    return checks

@@ -165,17 +165,18 @@ def compare_uniform_vs_aga(
     grid,
     scenario,
     spec,
-    ga_params: GAParams,
-    n_turbines: int = 16,
+    best,
     pattern: str = "line",
     numerator: str = "standard",
 ) -> ComparisonRecord:
-    """Evaluate the evenly spaced baseline and the optimized layout under the
-    identical scenario."""
+    """Score the evenly spaced baseline of ``best.n`` turbines and the
+    optimized layout ``best`` on one evaluator under the identical scenario;
+    runs no search."""
+    if best.m != grid.count:
+        raise ValueError(f"best layout spans {best.m} cells, the grid has {grid.count}")
     evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
-    uniform = uniform_layout(grid, n_turbines, pattern)
+    uniform = uniform_layout(grid, best.n, pattern)
     uniform_result = evaluator.evaluate(uniform.occupied)
-    best, _ = run_aga(ga_params, grid, scenario, spec, n_turbines, numerator)
     best_result = evaluator.evaluate(best.occupied)
     return ComparisonRecord(
         uniform.occupied,

@@ -1,9 +1,15 @@
+import configparser
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import windlayout.oracle as oracle
+import windlayout.study as study
 from windlayout.cli import (
+    CONFIG_KEYS,
     ConfigError,
     load_config,
     main,
@@ -12,7 +18,7 @@ from windlayout.cli import (
     write_layout_csv,
 )
 from windlayout.optimizer import Layout
-from windlayout.power import cost_curve
+from windlayout.power import FarmEvaluator, cost_curve
 from windlayout.scenario import build_grid
 
 
@@ -110,6 +116,28 @@ sectors = 8
     def test_ga_seed_validation(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[ga\]"):
             load_config(write_cfg(tmp_path, "[ga]\nseed = 0.75\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ga]\npopulaton = 20\n", r"\[ga\] populaton: unknown key"),
+        ("[grid]\ncell = 5\n", r"\[grid\] cell: unknown key"),
+        ("[ga]\nmutation_parent = elite_pool\n", r"\[ga\] mutation_parent: unknown key"),
+        ("[grd]\ncells = 5\n", r"\[grd\] cells: unknown key"),
+        ("[DEFAULT]\ncells = 5\n", r"\[DEFAULT\] cells: unknown key"),
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_readme_config_block_is_the_key_table(self, tmp_path):
+        # the documented schema loads, and documents every key of the table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        load_config(write_cfg(tmp_path, block))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(block)
+        documented = {(section, key) for section in parser.sections()
+                      for key in parser.options(section)}
+        assert documented == set(CONFIG_KEYS)
 
     def test_out_dir_resolution(self, tmp_path, monkeypatch):
         cfg = load_config(write_cfg(tmp_path, "[output]\ndir = cfgdir\n"))
@@ -221,6 +249,21 @@ class TestCommands:
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "config error: [turbine]" in capsys.readouterr().err
 
+    def test_unknown_key_exits_1_before_any_run(self, tmp_path, capsys):
+        # these typos used to be ignored: a full default search, exit 0
+        cfg = write_cfg(tmp_path, "[ga]\npopulaton = 20\nmax_generation = 3\n[grid]\ncell = 5\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [ga] populaton: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_target_exits_1(self, tmp_path, capsys, value):
+        # a NaN target silently dropped the stop-at-target rule
+        cfg = write_cfg(tmp_path, SMALL_GRID + f"[ga]\ntarget_efficiency = {value}\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: [ga] target_efficiency" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["optimize", "--config", str(tmp_path / "missing.ini")])
         assert code == 1
@@ -288,11 +331,63 @@ repeats = 2
                 rec = json.loads(line)
                 assert {"seed", "generation", "best_eta", "mean_eta", "best_layout"} <= set(rec)
 
+    def test_compare_searches_once_per_loop_and_seed(self, tmp_path, monkeypatch):
+        calls = {"run_aga": 0, "run_conventional_ga": 0}
+        for name in calls:
+            def counted(*args, _name=name, _search=getattr(study, name), **kwargs):
+                calls[_name] += 1
+                return _search(*args, **kwargs)
+            monkeypatch.setattr(study, name, counted)
+        cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA + "\n[compare]\nseeds = 2\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == {"run_aga": 2, "run_conventional_ga": 2}
+        # the compared layout is the first seed's final best layout
+        records = [json.loads(ln) for ln in (out / "aga_trace.jsonl").read_text().splitlines()[1:]]
+        first_seed = [rec for rec in records if rec["seed"] == records[0]["seed"]]
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["aga_layout"] == first_seed[-1]["best_layout"]
+
     def test_verify_command_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
+
+    @pytest.mark.parametrize("check", [
+        "overlap-vs-monte-carlo", "evaluator-vs-straight-line", "optimizer-vs-exhaustive",
+    ])
+    def test_verify_fails_on_planted_defect(self, tmp_path, capsys, monkeypatch, check):
+        if check == "overlap-vs-monte-carlo":
+            estimate = oracle.mc_overlap
+
+            def biased(*args, **kwargs):
+                area, se = estimate(*args, **kwargs)
+                return area * 1.1 + 10.0 * se, se
+
+            monkeypatch.setattr(oracle, "mc_overlap", biased)
+        elif check == "evaluator-vs-straight-line":
+            evaluate = FarmEvaluator.evaluate
+
+            def skewed(self, *args, **kwargs):
+                result = evaluate(self, *args, **kwargs)
+                return dataclasses.replace(result, efficiency=result.efficiency * (1 + 1e-6))
+
+            monkeypatch.setattr(FarmEvaluator, "evaluate", skewed)
+        else:
+            search = oracle.run_aga
+
+            def short(*args, **kwargs):
+                best, trace = search(*args, **kwargs)
+                last = dataclasses.replace(trace[-1], best_eta=trace[-1].best_eta - 1e-6)
+                return best, trace[:-1] + [last]
+
+            monkeypatch.setattr(oracle, "run_aga", short)
+        cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)
+        assert main(["verify", "--config", cfg]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[1] for ln in lines if ln.startswith("FAIL")] == [check]
+        assert sum(ln.startswith("PASS") for ln in lines) == 2
 
     def test_run_entry_point(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -216,8 +218,12 @@ class TestGAParams:
             GAParams(elites=0)
         with pytest.raises(ValueError):
             GAParams(chaos_seed=0.75)
-        with pytest.raises(ValueError):
-            GAParams(mutation_parent="nonsense")
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target):
+        # a NaN target never compares true and silently drops the stop rule
+        with pytest.raises(ValueError, match="target_efficiency"):
+            GAParams(target_efficiency=target)
 
 
 class TestRunAga:
