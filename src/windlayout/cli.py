@@ -47,6 +47,7 @@ from .scenario import (
     case_scenario,
     single_bin,
     uniform_directions,
+    uniform_layout,
     weibull_rose,
 )
 from .study import (
@@ -81,7 +82,6 @@ class RunConfig:
     case: str
     scenario: WindScenario
     ga: GAParams
-    numerator: str
     uniform_pattern: str
     spacing_check: str
     sweep_edges: list
@@ -197,7 +197,8 @@ def load_config(path: str | None) -> RunConfig:
     if turbines > (cells + 1) ** 2:
         _fail("grid", "turbines", f"cannot exceed candidate count {(cells + 1) ** 2}")
     try:
-        spec = TurbineSpec(**{key: value for (section, key), value in v.items()
+        spec = TurbineSpec(deficit_numerator=v["model", "deficit_numerator"],
+                           **{key: value for (section, key), value in v.items()
                               if section == "turbine" and value is not None})
     except ValueError as exc:
         raise ConfigError(f"[turbine] {exc}") from exc
@@ -237,7 +238,6 @@ def load_config(path: str | None) -> RunConfig:
         case=case,
         scenario=scenario,
         ga=ga,
-        numerator=v["model", "deficit_numerator"],
         uniform_pattern=v["model", "uniform_pattern"],
         spacing_check=v["model", "spacing_check"],
         sweep_edges=list(v["sweep", "edges"]),
@@ -298,7 +298,7 @@ def write_json(path, payload):
 def _cmd_optimize(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
     t0 = time.perf_counter()
-    best, trace = run_aga(cfg.ga, grid, cfg.scenario, cfg.spec, cfg.turbines, cfg.numerator)
+    best, trace = run_aga(cfg.ga, grid, cfg.scenario, cfg.spec, cfg.turbines)
     wall = time.perf_counter() - t0
     last = trace[-1]
     write_layout_csv(os.path.join(out_dir, "layout.csv"), best, grid)
@@ -323,9 +323,7 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str, args) -> int:
 def _cmd_evaluate(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
     layout = read_layout_csv(args.layout, grid)
-    result = FarmEvaluator(grid.points, cfg.scenario, cfg.spec, cfg.numerator).evaluate(
-        layout.occupied
-    )
+    result = FarmEvaluator(grid.points, cfg.scenario, cfg.spec).evaluate(layout.occupied)
     write_json(
         os.path.join(out_dir, "evaluation.json"),
         {
@@ -351,7 +349,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
         cells=cfg.cells,
         n_turbines=cfg.turbines,
         spacing_check=cfg.spacing_check,
-        numerator=cfg.numerator,
     )
     header = [f"# {SWEEP_SCHEMA}", "edge,area_fraction,power_fraction,n_runs,stderr"]
     _write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(header + sweep_rows(sweep)) + "\n")
@@ -373,10 +370,13 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
 
 def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
     grid = build_grid(cfg.side, cfg.cells)
+    try:  # the uniform baseline must fit before any search runs
+        uniform_layout(grid, cfg.turbines, cfg.uniform_pattern)
+    except ValueError as exc:
+        raise ConfigError(f"[model] uniform_pattern = {cfg.uniform_pattern}: {exc}, "
+                          f"[grid] turbines = {cfg.turbines}") from exc
     seeds = repeat_seeds(cfg.ga.chaos_seed, cfg.compare_seeds)
-    pairs = convergence_comparison(
-        grid, cfg.scenario, cfg.spec, cfg.ga, seeds, cfg.turbines, cfg.numerator
-    )
+    pairs = convergence_comparison(grid, cfg.scenario, cfg.spec, cfg.ga, seeds, cfg.turbines)
     for loop in ("aga", "conventional"):
         records = [{"seed": p["seed"], **rec} for p in pairs for rec in trace_records(p[loop])]
         write_trace_records(os.path.join(out_dir, f"{loop}_trace.jsonl"), records)
@@ -384,7 +384,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
     # pair 0 runs the base seed (repeat_seeds(s, r)[0] == s): its best layout
     # is the optimized layout to compare
     record = compare_uniform_vs_aga(grid, cfg.scenario, cfg.spec, pairs[0]["aga"][-1].best_layout,
-                                    cfg.uniform_pattern, cfg.numerator)
+                                    cfg.uniform_pattern)
     write_json(
         os.path.join(out_dir, "comparison.json"),
         {
@@ -404,7 +404,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
 
 def _cmd_verify(cfg: RunConfig, out_dir: str, args) -> int:
     checks = cross_checks(build_grid(cfg.side, cfg.cells), cfg.scenario, cfg.spec, cfg.turbines,
-                          cfg.ga, cfg.numerator)
+                          cfg.ga)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
     return 0 if all(passed for _, passed, _ in checks) else 3
@@ -452,16 +452,14 @@ def main(argv=None) -> int:
                 cfg.ga = replace(cfg.ga, chaos_seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         out_dir = resolve_out_dir(cfg, args.out)
         if args.command != "verify":
             os.makedirs(out_dir, exist_ok=True)
         handler, _ = _COMMANDS[args.command]
         return handler(cfg, out_dir, args)
+    except ConfigError as exc:  # a ValueError too, so caught first
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,6 +162,14 @@ def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream 
     return [chaotic_layout(stream, m, n) for _ in range(params.population)]
 
 
+def _moved(layout: Layout, k: int, stream: ChaosStream) -> Layout:
+    """The layout with its k-th occupied cell replaced by a chaotic draw that
+    excludes the whole current occupancy."""
+    occupied = layout.occupied
+    fresh = chaos_position(stream, layout.m, set(occupied))
+    return Layout(occupied[:k] + occupied[k + 1 :] + (fresh,), layout.m)
+
+
 def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
     """Move the least productive turbine to a chaotically drawn free cell.
 
@@ -173,10 +181,7 @@ def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
     """
     if layout.n == layout.m:
         return layout
-    worst = layout.occupied[int(np.argmin(power))]
-    rest = tuple(i for i in layout.occupied if i != worst)
-    fresh = chaos_position(stream, layout.m, set(layout.occupied))
-    return Layout(rest + (fresh,), layout.m)
+    return _moved(layout, int(np.argmin(power)), stream)
 
 
 def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
@@ -185,20 +190,16 @@ def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
     The added cell excludes the full original occupancy, so the result always
     differs from the input in exactly two bits.
     """
-    n, m = layout.n, layout.m
-    if not 0 < n < m:
+    if not 0 < layout.n < layout.m:
         raise ValueError("mutation needs at least one occupied and one free cell")
-    drop = layout.occupied[stream.index(n)]
-    add = chaos_position(stream, m, set(layout.occupied))
-    rest = tuple(i for i in layout.occupied if i != drop)
-    return Layout(rest + (add,), m)
+    return _moved(layout, stream.index(layout.n), stream)
 
 
-def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
+def _evolve(params, grid, scenario, spec, n_turbines, relocation):
     m = len(grid.points)
     if n_turbines > m:
         raise ValueError("cannot place more turbines than candidate cells")
-    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     stream = ChaosStream(params.chaos_seed)
     population = initialize_population(params, m, n_turbines, stream)
     cache: dict = {}  # occupied -> (efficiency, expected power per turbine)
@@ -245,7 +246,7 @@ def _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation):
     return trace[-1].best_layout, trace
 
 
-def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int, numerator: str = "standard"):
+def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
     """Run the adapted search loop; returns (best layout, trace).
 
     Per generation: evaluate and rank, copy the elites, breed relocation
@@ -253,12 +254,10 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int, numerator: 
     the population with two-bit mutants; stop at the generation budget or
     when the best efficiency reaches the target.
     """
-    return _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation=True)
+    return _evolve(params, grid, scenario, spec, n_turbines, relocation=True)
 
 
-def run_conventional_ga(
-    params: GAParams, grid, scenario, spec, n_turbines: int, numerator: str = "standard"
-):
+def run_conventional_ga(params: GAParams, grid, scenario, spec, n_turbines: int):
     """Ablated baseline: identical loop with the relocation step replaced by
     freshly generated chaotic individuals."""
-    return _evolve(params, grid, scenario, spec, n_turbines, numerator, relocation=False)
+    return _evolve(params, grid, scenario, spec, n_turbines, relocation=False)

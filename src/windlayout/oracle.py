@@ -50,7 +50,7 @@ def _power_kw(spec, v: float) -> float:
     return min(max(p, 0.0), spec.rated_power)
 
 
-def straight_line_eval(positions, scenario, spec, numerator: str = "standard") -> EvaluationResult:
+def straight_line_eval(positions, scenario, spec) -> EvaluationResult:
     """Literal re-evaluation of the whole chain, one pair at a time."""
     pts = [(float(p[0]), float(p[1])) for p in np.asarray(positions, dtype=float)]
     n = len(pts)
@@ -58,7 +58,7 @@ def straight_line_eval(positions, scenario, spec, numerator: str = "standard") -
     R = spec.rotor_radius
     rotor_area = math.pi * R * R
     root = math.sqrt(1.0 - spec.thrust_coefficient)
-    numer = 1.0 + root if numerator == "paper_literal" else 1.0 - root
+    numer = {"standard": 1.0 - root, "paper_literal": 1.0 + root}[spec.deficit_numerator]
 
     speed_exp = [0.0] * n
     power_exp = [0.0] * n
@@ -88,7 +88,7 @@ def straight_line_eval(positions, scenario, spec, numerator: str = "standard") -
     )
 
 
-def exhaustive_best(grid, n: int, scenario, spec, numerator: str = "standard", cap: int = 10**6):
+def exhaustive_best(grid, n: int, scenario, spec, cap: int = 10**6):
     """Globally best layout by enumerating every n-subset of the grid.
 
     Ties resolve to the lexicographically first index tuple. Instances whose
@@ -99,13 +99,13 @@ def exhaustive_best(grid, n: int, scenario, spec, numerator: str = "standard", c
         raise ValueError(f"C({m}, {n}) exceeds the enumeration cap {cap}")
     best_combo, best_eta = None, -1.0
     for combo in itertools.combinations(range(m), n):
-        eta = straight_line_eval(grid.points[list(combo)], scenario, spec, numerator).efficiency
+        eta = straight_line_eval(grid.points[list(combo)], scenario, spec).efficiency
         if eta > best_eta:
             best_combo, best_eta = combo, eta
     return Layout(best_combo, m), best_eta
 
 
-def cross_checks(grid, scenario, spec, n_turbines: int, ga, numerator: str = "standard") -> list:
+def cross_checks(grid, scenario, spec, n_turbines: int, ga) -> list:
     """Run the fast path against each checker above: the closed-form overlap,
     the evaluator on random layouts of ``grid`` and the search on two small
     grids. One generator seeded with 0 draws the inputs of the first two in
@@ -122,12 +122,12 @@ def cross_checks(grid, scenario, spec, n_turbines: int, ga, numerator: str = "st
         worst = max(worst, dev)
     checks.append(("overlap-vs-monte-carlo", worst <= 4.0, f"max deviation {worst:.2f} se"))
 
-    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     worst = 0.0
     for _ in range(10):
         idx = np.sort(rng.choice(grid.count, size=n_turbines, replace=False))
         a = evaluator.evaluate(idx)
-        b = straight_line_eval(grid.points[idx], scenario, spec, numerator)
+        b = straight_line_eval(grid.points[idx], scenario, spec)
         worst = max(
             worst,
             abs(a.total_power - b.total_power) / b.total_power,
@@ -139,10 +139,10 @@ def cross_checks(grid, scenario, spec, n_turbines: int, ga, numerator: str = "st
     for cells, edge in ((4, 120.0), (5, 110.0)):
         small = build_grid(cells * edge, cells)
         rose = uniform_directions(10.0, 12)
-        _, opt_eta = exhaustive_best(small, 3, rose, spec, numerator)
+        _, opt_eta = exhaustive_best(small, 3, rose, spec)
         params = replace(ga, population=60, elites=6, relocations=18, aliens=6,
                          max_generations=300, target_efficiency=opt_eta)
-        _, trace = run_aga(params, small, rose, spec, 3, numerator)
+        _, trace = run_aga(params, small, rose, spec, 3)
         worst = max(worst, opt_eta - trace[-1].best_eta)
     checks.append(("optimizer-vs-exhaustive", worst <= 1e-12, f"max eta shortfall {worst:.2e}"))
     return checks

@@ -185,7 +185,7 @@ class FarmEvaluator:
     exactly ``unit_power``.
     """
 
-    def __init__(self, points, scenario, spec: TurbineSpec, numerator: str = "standard"):
+    def __init__(self, points, scenario, spec: TurbineSpec):
         self.points = np.asarray(points, dtype=float)
         self.scenario = scenario
         self.spec = spec
@@ -207,7 +207,7 @@ class FarmEvaluator:
             )
         self._x_key, self._y_pair = x_pair * len(dy), y_pair
         self._table = np.stack([
-            squared_deficits(dx[:, None], dy[None, :], theta, spec, numerator).ravel()
+            squared_deficits(dx[:, None], dy[None, :], theta, spec).ravel()
             for theta in by_theta
         ])
 

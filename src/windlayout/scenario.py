@@ -48,7 +48,6 @@ class WindScenario:
     triples summing to one."""
 
     bins: tuple
-    sector_count: int = 12
 
     def __post_init__(self):
         bins = tuple((float(t), float(v), float(w)) for t, v, w in self.bins)
@@ -68,7 +67,7 @@ class WindScenario:
 
 def single_bin(theta: float, v: float) -> WindScenario:
     """Point-mass wind: one direction, one speed."""
-    return WindScenario(((theta, v, 1.0),), sector_count=1)
+    return WindScenario(((theta, v, 1.0),))
 
 
 def uniform_directions(v: float, sectors: int = 12) -> WindScenario:
@@ -77,7 +76,7 @@ def uniform_directions(v: float, sectors: int = 12) -> WindScenario:
         raise ValueError("sectors must be >= 1")
     width = 360.0 / sectors
     bins = tuple((k * width, v, 1.0 / sectors) for k in range(sectors))
-    return WindScenario(bins, sector_count=sectors)
+    return WindScenario(bins)
 
 
 def weibull_cdf(v: float, shape: float, scale: float) -> float:
@@ -128,7 +127,7 @@ def weibull_rose(
         for s in range(sectors)
         for mid, mass in zip(mids, masses)
     )
-    return WindScenario(bins, sector_count=sectors)
+    return WindScenario(bins)
 
 
 def case_scenario(name: str) -> WindScenario:

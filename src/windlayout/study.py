@@ -73,7 +73,6 @@ def shrink_sweep(
     cells: int = 20,
     n_turbines: int = 16,
     spacing_check: str = "off",
-    numerator: str = "standard",
 ) -> list:
     """Re-optimize the farm at successively smaller cell edges.
 
@@ -105,7 +104,7 @@ def shrink_sweep(
         powers = []
         for seed in seeds:
             params = replace(ga_params, chaos_seed=seed)
-            _, trace = run_aga(params, grid, scenario, spec, n_turbines, numerator)
+            _, trace = run_aga(params, grid, scenario, spec, n_turbines)
             powers.append(trace[-1].best_power)
         mean_power = float(np.mean(powers))
         stderr = float(np.std(powers, ddof=1) / math.sqrt(repeats)) if repeats > 1 else 0.0
@@ -161,20 +160,13 @@ class ComparisonRecord:
     aga_eta: float
 
 
-def compare_uniform_vs_aga(
-    grid,
-    scenario,
-    spec,
-    best,
-    pattern: str = "line",
-    numerator: str = "standard",
-) -> ComparisonRecord:
+def compare_uniform_vs_aga(grid, scenario, spec, best, pattern: str = "line") -> ComparisonRecord:
     """Score the evenly spaced baseline of ``best.n`` turbines and the
     optimized layout ``best`` on one evaluator under the identical scenario;
     runs no search."""
     if best.m != grid.count:
         raise ValueError(f"best layout spans {best.m} cells, the grid has {grid.count}")
-    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     uniform = uniform_layout(grid, best.n, pattern)
     uniform_result = evaluator.evaluate(uniform.occupied)
     best_result = evaluator.evaluate(best.occupied)
@@ -188,7 +180,7 @@ def compare_uniform_vs_aga(
     )
 
 
-def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_turbines: int = 16, numerator: str = "standard") -> list:
+def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_turbines: int = 16) -> list:
     """Paired traces of the full loop vs the relocation-ablated loop."""
     seeds = [float(s) for s in seeds]
     if not seeds:
@@ -196,8 +188,8 @@ def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_t
     pairs = []
     for seed in seeds:
         params = replace(ga_params, chaos_seed=seed)
-        _, aga_trace = run_aga(params, grid, scenario, spec, n_turbines, numerator)
-        _, conv_trace = run_conventional_ga(params, grid, scenario, spec, n_turbines, numerator)
+        _, aga_trace = run_aga(params, grid, scenario, spec, n_turbines)
+        _, conv_trace = run_conventional_ga(params, grid, scenario, spec, n_turbines)
         pairs.append({"seed": seed, "aga": aga_trace, "conventional": conv_trace})
     return pairs
 

@@ -22,7 +22,9 @@ class TurbineSpec:
     """Physical description of the single turbine type used farm-wide.
 
     Defaults describe a 5 MW offshore class machine; every field can be
-    overridden through the run configuration.
+    overridden through the run configuration. ``deficit_numerator`` picks the
+    Jensen deficit numerator (see ``squared_deficits``): "standard",
+    1 - sqrt(1 - Ct), or "paper_literal", 1 + sqrt(1 - Ct).
     """
 
     rotor_radius: float = 63.0  # m
@@ -34,6 +36,7 @@ class TurbineSpec:
     rated_speed: float = 14.0  # m/s
     cut_out: float = 25.0  # m/s
     power_poly: tuple = (-0.9114, 21.6654, -113.1189, 201.1211, -55.0267)
+    deficit_numerator: str = "standard"
 
     def __post_init__(self):
         if not self.rotor_radius > 0:
@@ -50,6 +53,9 @@ class TurbineSpec:
             raise ValueError("need cut_in < rated_speed < cut_out")
         if len(self.power_poly) != 5:
             raise ValueError("power_poly must hold 5 quartic coefficients")
+        if self.deficit_numerator not in NUMERATOR_MODES:
+            raise ValueError(f"deficit_numerator must be one of {NUMERATOR_MODES}, "
+                             f"got {self.deficit_numerator!r}")
         finite = (self.rotor_radius, self.hub_height, self.rated_power, self.cut_in,
                   self.rated_speed, *self.power_poly)
         if not all(math.isfinite(x) for x in finite):
@@ -70,11 +76,9 @@ def wake_radius(spec: TurbineSpec, distance: float) -> float:
     return spec.rotor_radius + decay_factor(spec) * distance
 
 
-def _deficit_numerator(spec: TurbineSpec, mode: str) -> float:
-    if mode not in NUMERATOR_MODES:
-        raise ValueError(f"numerator must be one of {NUMERATOR_MODES}, got {mode!r}")
+def _deficit_numerator(spec: TurbineSpec) -> float:
     root = math.sqrt(1.0 - spec.thrust_coefficient)
-    return 1.0 + root if mode == "paper_literal" else 1.0 - root
+    return 1.0 + root if spec.deficit_numerator == "paper_literal" else 1.0 - root
 
 
 def _check_distinct(points: np.ndarray) -> None:
@@ -82,7 +86,7 @@ def _check_distinct(points: np.ndarray) -> None:
         raise ValueError("positions must be pairwise distinct")
 
 
-def squared_deficits(dx, dy, theta: float, spec: TurbineSpec, numerator: str = "standard"):
+def squared_deficits(dx, dy, theta: float, spec: TurbineSpec):
     """Squared deficit a turbine's wake imposes on another turbine placed at
     offset (dx, dy) from it, under one wind direction.
 
@@ -93,9 +97,9 @@ def squared_deficits(dx, dy, theta: float, spec: TurbineSpec, numerator: str = "
     of theta). Zero unless d > DOWNWIND_EPS and the discs overlap.
 
     The deficit is numerator / (1 + k*d/R)**2 times the overlap fraction of
-    the downstream rotor. The "standard" numerator is 1 - sqrt(1 - Ct);
-    "paper_literal" keeps the 1 + sqrt(1 - Ct) variant, which can exceed
-    unity at short range.
+    the downstream rotor, the numerator chosen by ``spec.deficit_numerator``:
+    "standard" is 1 - sqrt(1 - Ct); "paper_literal" keeps the 1 + sqrt(1 - Ct)
+    variant, which can exceed unity at short range.
     """
     k = decay_factor(spec)
     R = spec.rotor_radius
@@ -109,14 +113,12 @@ def squared_deficits(dx, dy, theta: float, spec: TurbineSpec, numerator: str = "
     dd = np.where(upwind, d, 1.0)
 
     area = overlap_areas(R + k * dd, R, off)
-    amp = _deficit_numerator(spec, numerator) / (1.0 + k * dd / R) ** 2
+    amp = _deficit_numerator(spec) / (1.0 + k * dd / R) ** 2
     deficit = np.where(upwind, amp * (area / (math.pi * R**2)), 0.0)
     return deficit**2
 
 
-def squared_deficit_matrix(
-    positions, theta: float, spec: TurbineSpec, numerator: str = "standard"
-) -> np.ndarray:
+def squared_deficit_matrix(positions, theta: float, spec: TurbineSpec) -> np.ndarray:
     """(n, n) matrix of squared pairwise deficits under one wind direction.
 
     Entry [i, j] is the squared deficit turbine j's wake imposes on turbine i,
@@ -127,12 +129,10 @@ def squared_deficit_matrix(
     _check_distinct(pts)
     dx = pts[None, :, 0] - pts[:, None, 0]  # dx[i, j] = x_j - x_i
     dy = pts[None, :, 1] - pts[:, None, 1]
-    return squared_deficits(dx, dy, theta, spec, numerator)
+    return squared_deficits(dx, dy, theta, spec)
 
 
-def effective_speeds(
-    positions, theta: float, v: float, spec: TurbineSpec, numerator: str = "standard"
-) -> np.ndarray:
+def effective_speeds(positions, theta: float, v: float, spec: TurbineSpec) -> np.ndarray:
     """Per-turbine wind speed u_i = v * (1 - rss of upwind deficits).
 
     The combined deficit is clamped at 1 so dense layouts cannot drive the
@@ -140,6 +140,6 @@ def effective_speeds(
     """
     if v < 0:
         raise ValueError("free wind speed must be >= 0")
-    sq = squared_deficit_matrix(positions, theta, spec, numerator)
+    sq = squared_deficit_matrix(positions, theta, spec)
     combined = np.minimum(np.sqrt(sq.sum(axis=1)), 1.0)
     return v * (1.0 - combined)

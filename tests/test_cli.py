@@ -54,7 +54,7 @@ class TestLoadConfig:
         assert cfg.cells == 20 and cfg.side == 4000.0 and cfg.turbines == 16
         assert cfg.ga.population == 120
         assert cfg.ga.target_efficiency == 1.0  # cases 1-2 aim for full efficiency
-        assert cfg.numerator == "standard"
+        assert cfg.spec.deficit_numerator == "standard"
 
     def test_missing_path_is_defaults(self):
         assert load_config(None).case == "case1"
@@ -110,8 +110,14 @@ speed_max = 26
 sectors = 8
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg.scenario.sector_count == 8
+        assert len({theta for theta, _, _ in cfg.scenario.bins}) == 8
         assert len(cfg.scenario.bins) == 8 * 13
+
+    def test_deficit_numerator_lands_on_the_spec(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, "[model]\ndeficit_numerator = paper_literal\n"))
+        assert cfg.spec.deficit_numerator == "paper_literal"
+        with pytest.raises(ConfigError, match=r"\[model\] deficit_numerator: must be one of"):
+            load_config(write_cfg(tmp_path, "[model]\ndeficit_numerator = paper-literal\n"))
 
     def test_ga_seed_validation(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[ga\]"):
@@ -347,6 +353,25 @@ repeats = 2
         first_seed = [rec for rec in records if rec["seed"] == records[0]["seed"]]
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["aga_layout"] == first_seed[-1]["best_layout"]
+
+    def test_compare_rejects_oversized_uniform_baseline_before_any_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # used to run every search and write both traces, then exit 2
+        calls = []
+        for name in ("run_aga", "run_conventional_ga"):
+            monkeypatch.setattr(study, name, lambda *args, _name=name: calls.append(_name))
+        text = SMALL_GRID.replace("turbines = 4", "turbines = 10") + FAST_GA
+        cfg = write_cfg(tmp_path, text + "[compare]\nseeds = 2\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [model] uniform_pattern = line" in err
+        assert "at most 6 turbines" in err and "[grid] turbines = 10" in err
+        assert calls == []
+        assert not out.exists() or os.listdir(out) == []
+        # optimize places no uniform baseline and still accepts the config
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_verify_command_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,8 +56,9 @@ class TestStraightLineEval:
     def test_paper_literal_numerator_agrees_too(self, spec, rng):
         pos = rng.uniform(0, 1500, size=(6, 2))
         scenario = uniform_directions(11.0, 6)
-        fast = FarmEvaluator(pos, scenario, spec, numerator="paper_literal").evaluate()
-        slow = straight_line_eval(pos, scenario, spec, numerator="paper_literal")
+        spec = replace(spec, deficit_numerator="paper_literal")
+        fast = FarmEvaluator(pos, scenario, spec).evaluate()
+        slow = straight_line_eval(pos, scenario, spec)
         assert fast.total_power == pytest.approx(slow.total_power, rel=1e-9)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestExpectedFarmPower:
         pos = rng.uniform(0, 2000, size=(6, 2))
         a = single_bin(0.0, 9.0)
         b = single_bin(90.0, 13.0)
-        mixed = WindScenario(((0.0, 9.0, 0.3), (90.0, 13.0, 0.7)), sector_count=2)
+        mixed = WindScenario(((0.0, 9.0, 0.3), (90.0, 13.0, 0.7)))
         pa = FarmEvaluator(pos, a, spec).evaluate().total_power
         pb = FarmEvaluator(pos, b, spec).evaluate().total_power
         pm = FarmEvaluator(pos, mixed, spec).evaluate().total_power
@@ -114,7 +115,7 @@ class TestExpectedFarmPower:
 
     def test_rejects_unnormalised_scenario(self):
         with pytest.raises(ValueError):
-            WindScenario(((0.0, 12.0, 0.7),), sector_count=1)
+            WindScenario(((0.0, 12.0, 0.7),))
 
 
 class TestEfficiency:
@@ -154,7 +155,7 @@ class TestFarmEvaluator:
     def test_ragged_scenario_on_padded_table(self, spec, rng):
         # different numbers of speed bins per direction share the one path
         bins = ((0.0, 8.0, 0.25), (0.0, 12.0, 0.25), (180.0, 10.0, 0.5))
-        scenario = WindScenario(bins, sector_count=2)
+        scenario = WindScenario(bins)
         pos = rng.uniform(0, 2000, size=(5, 2))
         got = FarmEvaluator(pos, scenario, spec).evaluate()
         speeds = [(w, effective_speeds(pos, t, v, spec)) for t, v, w in bins]
@@ -184,7 +185,7 @@ class TestOffsetTable:
     matrix and the straight-line oracle."""
 
     def test_every_pair_matches_matrix(self, spec, default_grid):
-        scenario = WindScenario(tuple((t, 12.0, 1.0 / 6) for t in KERNEL_EDGE_THETAS), 6)
+        scenario = WindScenario(tuple((t, 12.0, 1.0 / 6) for t in KERNEL_EDGE_THETAS))
         evaluator = FarmEvaluator(default_grid.points, scenario, spec)
         # a lattice of c cells with an integer edge has 2c + 1 offsets per axis
         assert evaluator._table.shape == (6, 41 * 41)
@@ -200,12 +201,13 @@ class TestOffsetTable:
         # equal steps of 4000/30 m differ by an ulp; those offsets stay apart
         grid = build_grid(4000.0, 30)
         scenario = case_scenario("case3")
-        evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+        spec = replace(spec, deficit_numerator=numerator)
+        evaluator = FarmEvaluator(grid.points, scenario, spec)
         assert evaluator._table.shape[1] > 61 * 61
         rows = np.array([rng.choice(grid.count, size=16, replace=False) for _ in range(4)])
         etas, powers = evaluator.evaluate_batch(rows)
         for row, eta, power in zip(rows, etas, powers):
-            slow = straight_line_eval(grid.points[row], scenario, spec, numerator)
+            slow = straight_line_eval(grid.points[row], scenario, spec)
             assert eta == pytest.approx(slow.efficiency, rel=1e-9)
             assert np.allclose(power, slow.per_turbine_power, rtol=1e-9, atol=1e-9)
 
@@ -273,11 +275,9 @@ CUT_SPEEDS = WindScenario(
         (90.0, 3.0, 0.15), (90.0, 9.5, 0.15),
         (210.0, 25.0, 0.1), (210.0, 14.0, 0.1),
     ),
-    sector_count=3,
 )
 ZERO_WEIGHTS = WindScenario(
     ((0.0, 12.0, 0.5), (0.0, 20.0, 0.0), (45.0, 8.0, 0.0), (180.0, 11.0, 0.5), (180.0, 4.0, 0.0)),
-    sector_count=3,
 )
 
 
@@ -338,14 +338,13 @@ class TestExpectedPowerTable:
     def test_paper_literal_clamped_deficits(self, spec):
         # 1 + sqrt(1 - Ct) at short range drives the combined deficit past 1
         pos = np.array([(0.0, 0.0), (0.0, 130.0), (0.0, 260.0), (10.0, 390.0)])
-        scenario = WindScenario(((0.0, 12.0, 0.6), (180.0, 14.0, 0.4)), sector_count=2)
-        sq = squared_deficit_matrix(pos, 0.0, spec, "paper_literal")
+        scenario = WindScenario(((0.0, 12.0, 0.6), (180.0, 14.0, 0.4)))
+        spec = replace(spec, deficit_numerator="paper_literal")
+        sq = squared_deficit_matrix(pos, 0.0, spec)
         assert np.sqrt(sq.sum(axis=1)).max() > 1.0
-        got = FarmEvaluator(pos, scenario, spec, numerator="paper_literal").evaluate()
-        slow = straight_line_eval(pos, scenario, spec, numerator="paper_literal")
-        ratio = np.array([
-            effective_speeds(pos, t, 1.0, spec, "paper_literal") for t in (0.0, 180.0)
-        ])
+        got = FarmEvaluator(pos, scenario, spec).evaluate()
+        slow = straight_line_eval(pos, scenario, spec)
+        ratio = np.array([effective_speeds(pos, t, 1.0, spec) for t in (0.0, 180.0)])
         assert ratio.min() == 0.0
         assert np.allclose(got.per_turbine_power, pointwise_power(scenario, spec, ratio),
                            rtol=1e-12, atol=1e-9)
@@ -376,14 +375,18 @@ class TestExpectedPowerTable:
 
 class TestEvaluateBatch:
     def test_rows_match_evaluate(self, spec, default_grid, rng):
-        evaluator = FarmEvaluator(default_grid.points, case_scenario("case4"), spec)
-        rows = np.array([rng.choice(default_grid.count, size=16, replace=False) for _ in range(40)])
-        etas, powers = evaluator.evaluate_batch(rows)
-        assert etas.shape == (40,) and powers.shape == (40, 16)
-        for row, eta, power in zip(rows, etas, powers):
-            one = evaluator.evaluate(row)
-            assert eta == pytest.approx(one.efficiency, rel=1e-12)
-            assert np.allclose(power, one.per_turbine_power, rtol=1e-12)
+        # bit for bit: a row scores the same alone as inside a batch
+        for numerator in ("standard", "paper_literal"):
+            numerator_spec = replace(spec, deficit_numerator=numerator)
+            evaluator = FarmEvaluator(default_grid.points, case_scenario("case4"), numerator_spec)
+            rows = np.array([rng.choice(default_grid.count, size=16, replace=False)
+                             for _ in range(40)])
+            etas, powers = evaluator.evaluate_batch(rows)
+            assert etas.shape == (40,) and powers.shape == (40, 16)
+            for row, eta, power in zip(rows, etas, powers):
+                one = evaluator.evaluate(row)
+                assert eta == one.efficiency
+                assert np.array_equal(power, one.per_turbine_power)
 
     def test_chunked_batch_matches_whole(self, spec, default_grid, rng, monkeypatch):
         evaluator = FarmEvaluator(default_grid.points, case_scenario("case3"), spec)

@@ -4,6 +4,7 @@ against the straight-line oracle, 360-degree periodicity of the directions
 and invariance under reordering a row."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,29 +60,29 @@ def scenarios(draw, spec):
     if total == 0.0:
         bins[0] = (bins[0][0], bins[0][1], 1.0)
         total = 1.0
-    return WindScenario(tuple((t, v, w / total) for t, v, w in bins), sector_count=len(thetas))
+    return WindScenario(tuple((t, v, w / total) for t, v, w in bins))
 
 
 def farms(data, min_turbines=1):
-    """A random spec, scenario, numerator, 4 x 4-cell grid and (P, n) block
-    of index rows."""
+    """A random spec (deficit numerator included), scenario, 4 x 4-cell grid
+    and (P, n) block of index rows."""
     spec = data.draw(turbine_specs())
     scenario = data.draw(scenarios(spec))
-    numerator = data.draw(st.sampled_from(NUMERATOR_MODES))
+    spec = replace(spec, deficit_numerator=data.draw(st.sampled_from(NUMERATOR_MODES)))
     grid = build_grid(data.draw(st.floats(2.0, 6.0)) * spec.rotor_radius * 4, 4)
     n = data.draw(st.integers(min_turbines, 6))
     rows = np.array(data.draw(st.lists(
         st.permutations(range(grid.count)).map(lambda p: p[:n]), min_size=1, max_size=4)))
-    return spec, scenario, numerator, grid, rows
+    return spec, scenario, grid, rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_batched_evaluator_matches_oracle(data):
-    spec, scenario, numerator, grid, rows = farms(data)
-    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    spec, scenario, grid, rows = farms(data)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     try:
-        slow = [straight_line_eval(grid.points[row], scenario, spec, numerator) for row in rows]
+        slow = [straight_line_eval(grid.points[row], scenario, spec) for row in rows]
     except ValueError as exc:
         assert "denominator degenerate" in str(exc)
         with pytest.raises(ValueError, match="denominator degenerate"):
@@ -96,14 +97,14 @@ def test_batched_evaluator_matches_oracle(data):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_directions_are_periodic_in_360_degrees(data):
-    spec, scenario, numerator, grid, rows = farms(data)
-    base = FarmEvaluator(grid.points, scenario, spec, numerator)
+    spec, scenario, grid, rows = farms(data)
+    base = FarmEvaluator(grid.points, scenario, spec)
     assume(base.unit_power > 0.0)
     etas, powers = base.evaluate_batch(rows)
     for turn in (360.0, -360.0):
         bins = tuple((theta + turn, v, w) for theta, v, w in scenario.bins)
-        turned = WindScenario(bins, sector_count=scenario.sector_count)
-        turned_evaluator = FarmEvaluator(grid.points, turned, spec, numerator)
+        turned = WindScenario(bins)
+        turned_evaluator = FarmEvaluator(grid.points, turned, spec)
         got_etas, got_powers = turned_evaluator.evaluate_batch(rows)
         assert np.allclose(got_etas, etas, rtol=1e-12, atol=0.0)
         assert np.allclose(got_powers, powers, rtol=1e-12, atol=0.0)
@@ -112,8 +113,8 @@ def test_directions_are_periodic_in_360_degrees(data):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_permuting_a_row_permutes_its_power(data):
-    spec, scenario, numerator, grid, rows = farms(data, min_turbines=2)
-    evaluator = FarmEvaluator(grid.points, scenario, spec, numerator)
+    spec, scenario, grid, rows = farms(data, min_turbines=2)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     assume(evaluator.unit_power > 0.0)
     order = np.array(data.draw(st.permutations(range(rows.shape[1]))))
     etas, powers = evaluator.evaluate_batch(rows)

@@ -92,7 +92,7 @@ class TestScenarios:
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
-            WindScenario(((0.0, 12.0, -0.5), (0.0, 10.0, 1.5)), sector_count=1)
+            WindScenario(((0.0, 12.0, -0.5), (0.0, 10.0, 1.5)))
 
     @pytest.mark.parametrize("bad", [
         (math.nan, 12.0, 1.0), (math.inf, 12.0, 1.0), (0.0, math.nan, 1.0),
@@ -100,11 +100,11 @@ class TestScenarios:
     ])
     def test_rejects_non_finite_bin(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            WindScenario((bad,), sector_count=1)
+            WindScenario((bad,))
 
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError, match="non-negative"):
-            WindScenario(((0.0, -1.0, 1.0),), sector_count=1)
+            WindScenario(((0.0, -1.0, 1.0),))
 
 
 class TestWeibullRose:
@@ -161,7 +161,7 @@ class TestCasePresets:
 
     def test_case4(self):
         sc = case_scenario("case4")
-        assert sc.sector_count == 12
+        assert len({theta for theta, _, _ in sc.bins}) == 12
         assert len(sc.bins) == 12 * 30
 
     def test_unknown_rejected(self):

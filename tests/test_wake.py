@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ class TestTurbineSpec:
     def test_defaults_valid(self, spec):
         assert spec.rotor_radius == 63.0
         assert spec.rated_power == 5000.0
+        assert spec.deficit_numerator == "standard"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -32,6 +34,8 @@ class TestTurbineSpec:
             {"rated_power": math.inf},
             {"cut_in": -math.inf},
             {"power_poly": (math.nan, 0.0, 0.0, 0.0, 1.0)},
+            {"deficit_numerator": "paper-literal"},
+            {"deficit_numerator": ""},
         ],
     )
     def test_invariants_rejected(self, kwargs):
@@ -94,8 +98,9 @@ class TestPairwiseDeficit:
         assert squared_deficits(0.0, 2000.0, 0.0, spec) < squared_deficits(0.0, 200.0, 0.0, spec)
 
     def test_paper_literal_numerator(self, spec):
-        standard = math.sqrt(squared_deficits(0.0, 300.0, 0.0, spec, "standard"))
-        literal = math.sqrt(squared_deficits(0.0, 300.0, 0.0, spec, "paper_literal"))
+        standard = math.sqrt(squared_deficits(0.0, 300.0, 0.0, spec))
+        literal_spec = replace(spec, deficit_numerator="paper_literal")
+        literal = math.sqrt(squared_deficits(0.0, 300.0, 0.0, literal_spec))
         ratio = (1.0 + math.sqrt(0.12)) / (1.0 - math.sqrt(0.12))
         assert literal == pytest.approx(standard * ratio, rel=1e-12)
 
@@ -195,7 +200,7 @@ class TestEffectiveSpeeds:
     def test_dense_layout_clamps_at_zero(self, spec):
         # a long tight chain under the literal numerator saturates the rss
         pos = [(0.0, 130.0 * i) for i in range(10)]
-        u = effective_speeds(pos, 180.0, 12.0, spec, numerator="paper_literal")
+        u = effective_speeds(pos, 180.0, 12.0, replace(spec, deficit_numerator="paper_literal"))
         assert np.all(u >= 0.0)
         assert u.min() == 0.0
 
@@ -226,7 +231,7 @@ class TestSquaredDeficitMatrix:
                 assert mat[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def rotated_frame_matrix(positions, theta, spec, numerator="standard"):
+def rotated_frame_matrix(positions, theta, spec):
     """Squared pairwise deficits from positions rotated into the wind frame,
     the form the dense tables used before the deficit was keyed on the pair
     offset: d[i, j] = y'_j - y'_i, crosswind |x'_i - x'_j|."""
@@ -237,7 +242,8 @@ def rotated_frame_matrix(positions, theta, spec, numerator="standard"):
     dd = np.where(upwind, d, 1.0)
     area = overlap_areas(R + k * dd, R, np.abs(x[:, None] - x[None, :]))
     root = math.sqrt(1.0 - spec.thrust_coefficient)
-    amp = (1.0 + root if numerator == "paper_literal" else 1.0 - root) / (1.0 + k * dd / R) ** 2
+    literal = spec.deficit_numerator == "paper_literal"
+    amp = (1.0 + root if literal else 1.0 - root) / (1.0 + k * dd / R) ** 2
     return np.where(upwind, amp * area / (math.pi * R**2), 0.0) ** 2
 
 
@@ -247,8 +253,9 @@ class TestSquaredDeficits:
     def test_offsets_match_rotated_positions(self, spec, default_grid, theta, numerator):
         # crosswind neighbours sit near DOWNWIND_EPS at 1e-9 degrees and on
         # the diagonals; none may change side
-        got = squared_deficit_matrix(default_grid.points, theta, spec, numerator)
-        ref = rotated_frame_matrix(default_grid.points, theta, spec, numerator)
+        spec = replace(spec, deficit_numerator=numerator)
+        got = squared_deficit_matrix(default_grid.points, theta, spec)
+        ref = rotated_frame_matrix(default_grid.points, theta, spec)
         assert np.abs(got - ref).max() <= 1e-14
         assert np.array_equal(got > 0.0, ref > 0.0)
 
