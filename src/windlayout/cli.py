@@ -404,7 +404,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
 
 def _cmd_verify(cfg: RunConfig, out_dir: str, args) -> int:
     checks = cross_checks(build_grid(cfg.side, cfg.cells), cfg.scenario, cfg.spec, cfg.turbines,
-                          cfg.ga)
+                          cfg.ga.chaos_seed)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
     return 0 if all(passed for _, passed, _ in checks) else 3

@@ -1,9 +1,10 @@
 """Layout search over a fixed number of turbines: elitist evolution with
 worst-turbine relocation, alien injection and twice-toggle mutation, driven
-entirely by a chaotic logistic-map stream; plus the relocation-ablated
-baseline used for convergence comparisons."""
+entirely by a chaotic logistic-map stream; the relocation-ablated baseline
+is the same loop with its relocation slots given to aliens."""
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +80,10 @@ class Layout:
     m: int
 
     def __post_init__(self):
-        occ = tuple(sorted(int(i) for i in self.occupied))
+        try:
+            occ = tuple(sorted(map(operator.index, self.occupied)))
+        except TypeError:
+            raise ValueError("occupied indices must be integers") from None
         if len(set(occ)) != len(occ):
             raise ValueError("occupied indices must be distinct")
         if occ and not (0 <= occ[0] and occ[-1] < self.m):
@@ -195,7 +199,14 @@ def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
     return _moved(layout, stream.index(layout.n), stream)
 
 
-def _evolve(params, grid, scenario, spec, n_turbines, relocation):
+def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
+    """Run the adapted search loop; returns (best layout, trace).
+
+    Per generation: evaluate and rank, copy the elites, breed relocation
+    descendants from them, inject fresh chaotic aliens, and fill the rest of
+    the population with two-bit mutants; stop at the generation budget or
+    when the best efficiency reaches the target.
+    """
     m = len(grid.points)
     if n_turbines > m:
         raise ValueError("cannot place more turbines than candidate cells")
@@ -229,12 +240,8 @@ def _evolve(params, grid, scenario, spec, n_turbines, relocation):
         elites = [population[i] for i in order[: params.elites]]
         nxt = list(elites)
         for i in range(params.relocations):
-            if relocation:
-                parent = elites[i % len(elites)]
-                nxt.append(relocate(parent, cache[parent.occupied][1], stream))
-            else:
-                # ablated baseline: plain chaotic individuals instead
-                nxt.append(chaotic_layout(stream, m, n_turbines))
+            parent = elites[i % len(elites)]
+            nxt.append(relocate(parent, cache[parent.occupied][1], stream))
         for _ in range(params.aliens):
             nxt.append(chaotic_layout(stream, m, n_turbines))
         for _ in range(params.population - len(nxt)):
@@ -246,18 +253,8 @@ def _evolve(params, grid, scenario, spec, n_turbines, relocation):
     return trace[-1].best_layout, trace
 
 
-def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
-    """Run the adapted search loop; returns (best layout, trace).
-
-    Per generation: evaluate and rank, copy the elites, breed relocation
-    descendants from them, inject fresh chaotic aliens, and fill the rest of
-    the population with two-bit mutants; stop at the generation budget or
-    when the best efficiency reaches the target.
-    """
-    return _evolve(params, grid, scenario, spec, n_turbines, relocation=True)
-
-
 def run_conventional_ga(params: GAParams, grid, scenario, spec, n_turbines: int):
-    """Ablated baseline: identical loop with the relocation step replaced by
-    freshly generated chaotic individuals."""
-    return _evolve(params, grid, scenario, spec, n_turbines, relocation=False)
+    """Ablated baseline: the same loop with its relocation slots given to
+    aliens, so fresh chaotic individuals take the place of relocation descendants."""
+    return run_aga(replace(params, relocations=0, aliens=params.aliens + params.relocations),
+                   grid, scenario, spec, n_turbines)

@@ -9,12 +9,11 @@ math, formulas written out inline."""
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .geometry import circle_overlap_area, rotate_frame
-from .optimizer import Layout, run_aga
+from .optimizer import GAParams, Layout, run_aga
 from .power import EvaluationResult, FarmEvaluator
 from .scenario import build_grid, uniform_directions
 
@@ -105,11 +104,11 @@ def exhaustive_best(grid, n: int, scenario, spec, cap: int = 10**6):
     return Layout(best_combo, m), best_eta
 
 
-def cross_checks(grid, scenario, spec, n_turbines: int, ga) -> list:
+def cross_checks(grid, scenario, spec, n_turbines: int, chaos_seed: float) -> list:
     """Run the fast path against each checker above: the closed-form overlap,
-    the evaluator on random layouts of ``grid`` and the search on two small
-    grids. One generator seeded with 0 draws the inputs of the first two in
-    turn. Returns (name, passed, detail) triples."""
+    the evaluator on random layouts of ``grid`` and the search, from
+    ``chaos_seed``, on two small grids. One generator seeded with 0 draws the
+    inputs of the first two in turn. Returns (name, passed, detail) triples."""
     checks = []
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -140,8 +139,8 @@ def cross_checks(grid, scenario, spec, n_turbines: int, ga) -> list:
         small = build_grid(cells * edge, cells)
         rose = uniform_directions(10.0, 12)
         _, opt_eta = exhaustive_best(small, 3, rose, spec)
-        params = replace(ga, population=60, elites=6, relocations=18, aliens=6,
-                         max_generations=300, target_efficiency=opt_eta)
+        params = GAParams(population=60, elites=6, relocations=18, aliens=6,
+                          max_generations=300, target_efficiency=opt_eta, chaos_seed=chaos_seed)
         _, trace = run_aga(params, small, rose, spec, 3)
         worst = max(worst, opt_eta - trace[-1].best_eta)
     checks.append(("optimizer-vs-exhaustive", worst <= 1e-12, f"max eta shortfall {worst:.2e}"))

@@ -222,15 +222,15 @@ class FarmEvaluator:
         # denominator
         self.unit_power = float(self._expected_power(np.ones((T, 1, 1)))[0, 0])
 
-    def _indices(self, indices) -> np.ndarray:
-        if indices is None:
-            return np.arange(len(self.points))
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1 or len(idx) == 0:
-            raise ValueError("indices must be a non-empty 1-d sequence")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("indices must be distinct")
-        return idx
+    def _rows(self, rows) -> np.ndarray:
+        """The checked (P, n) block: integer indices, distinct within a row."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("rows must be a non-empty (P, n) block of integer indices")
+        ordered = np.sort(rows, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("indices must be distinct within each row")
+        return rows
 
     def _expected_power(self, ratio) -> np.ndarray:
         """(P, n) expected power, kW, from (T, P, n) speed ratios 1 - d."""
@@ -273,12 +273,7 @@ class FarmEvaluator:
         Returns the efficiencies, shape (P,), and the expected power per
         turbine, kW, shape (P, n), ordered like each row.
         """
-        rows = np.asarray(rows, dtype=int)
-        if rows.ndim != 2 or rows.size == 0:
-            raise ValueError("rows must be a non-empty (P, n) block of indices")
-        ordered = np.sort(rows, axis=1)
-        if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            raise ValueError("indices must be distinct within each row")
+        rows = self._rows(rows)
         n = rows.shape[1]
         step = max(1, _GATHER_ELEMENTS // (len(self._table) * n * n))
         power = np.concatenate(
@@ -288,8 +283,8 @@ class FarmEvaluator:
 
     def evaluate(self, indices=None) -> EvaluationResult:
         """Full farm evaluation for the given candidate indices."""
-        idx = self._indices(indices)
-        ratio, power = self._score(idx[None, :])
+        rows = self._rows([np.arange(len(self.points)) if indices is None else indices])
+        ratio, power = self._score(rows)
         speed = self._mean_speed @ ratio[:, 0, :]
         total = float(power[0].sum())
-        return EvaluationResult(speed, power[0], total, total / (len(idx) * self.unit_power))
+        return EvaluationResult(speed, power[0], total, total / (rows.shape[1] * self.unit_power))

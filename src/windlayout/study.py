@@ -181,7 +181,7 @@ def compare_uniform_vs_aga(grid, scenario, spec, best, pattern: str = "line") ->
 
 
 def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_turbines: int = 16) -> list:
-    """Paired traces of the full loop vs the relocation-ablated loop."""
+    """Paired traces per seed: the full loop and the loop with relocation slots given to aliens."""
     seeds = [float(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")

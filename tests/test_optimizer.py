@@ -89,6 +89,13 @@ class TestLayout:
         with pytest.raises(ValueError):
             Layout((0, 10), 10)
 
+    def test_rejects_non_integral_indices(self):
+        # truncating would turn (0.7, 5.9, "3") into the plausible (0, 3, 5)
+        for bad in ((0.7, 5.9, "3"), (0.0, 1), ("3",), (np.float64(2.0),)):
+            with pytest.raises(ValueError, match="integers"):
+                Layout(bad, 10)
+        assert Layout((np.int64(5), np.int32(1), 3), 10).occupied == (1, 3, 5)
+
 
 class TestInitializePopulation:
     @staticmethod

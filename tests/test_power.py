@@ -176,6 +176,15 @@ class TestFarmEvaluator:
             with pytest.raises(ValueError, match="must lie in"):
                 evaluator.evaluate(bad)
 
+    def test_rejects_non_integral_indices(self, spec, default_grid):
+        # truncating would score [0.7, 21.9] as cells 0 and 21, a plausible eta 0.5573
+        evaluator = FarmEvaluator(default_grid.points, single_bin(0.0, 12.0), spec)
+        for bad in ([0.7, 21.9], [0.0, 21.0], ["0", "21"], np.array([0, 21], dtype=float)):
+            with pytest.raises(ValueError, match="integer indices"):
+                evaluator.evaluate(bad)
+        narrow = evaluator.evaluate(np.array([0, 21], dtype=np.int32))
+        assert narrow.efficiency == evaluator.evaluate([0, 21]).efficiency
+
 
 KERNEL_EDGE_THETAS = (0.0, 30.0, 45.0, 90.0, 135.0, 1e-9)
 
@@ -404,6 +413,15 @@ class TestEvaluateBatch:
         etas, powers = evaluator.evaluate_batch([[0, 1, 2], [4, 3, 0]])
         assert np.all(powers == evaluator.unit_power)
         assert np.all(etas == 1.0)
+
+    def test_rejects_non_integral_rows(self, spec, default_grid):
+        # truncating would score [[0.7, 21.9]] as cells 0 and 21
+        evaluator = FarmEvaluator(default_grid.points, single_bin(0.0, 12.0), spec)
+        for bad in ([[0.7, 21.9]], [[0, 1], [2.0, 3.0]], [["0", "21"]]):
+            with pytest.raises(ValueError, match="integer indices"):
+                evaluator.evaluate_batch(bad)
+        etas, _ = evaluator.evaluate_batch(np.array([[0, 21]], dtype=np.uint16))
+        assert etas[0] == evaluator.evaluate_batch([[0, 21]])[0][0]
 
     @pytest.mark.parametrize("rows", [[0, 1], [[0, 0]], [[]], [[0, 1], [1, 1]], [[0, 2]], [[-1, 0]]])
     def test_rejects_malformed_rows(self, spec, rows):

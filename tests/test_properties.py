@@ -1,7 +1,9 @@
 """Property tests on random turbines, wind scenarios (ragged and zero-weight
 bins included), layouts and both deficit numerators: the batched evaluator
 against the straight-line oracle, 360-degree periodicity of the directions
-and invariance under reordering a row."""
+and invariance under reordering a row; and, on random tiny instances, the
+search: elitism, every generation's best re-scored by the oracle, and the
+conventional GA as a population split of the adapted loop."""
 
 import math
 from dataclasses import replace
@@ -11,9 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from windlayout.optimizer import (
+    FORBIDDEN_SEEDS,
+    GAParams,
+    run_aga,
+    run_conventional_ga,
+    trace_records,
+)
 from windlayout.oracle import straight_line_eval
 from windlayout.power import FarmEvaluator
-from windlayout.scenario import WindScenario, build_grid
+from windlayout.scenario import WindScenario, build_grid, single_bin, uniform_directions
 from windlayout.wake import NUMERATOR_MODES, TurbineSpec
 
 DEFAULT_POLY = TurbineSpec().power_poly
@@ -123,3 +132,66 @@ def test_permuting_a_row_permutes_its_power(data):
     # eta exceeds 1 where a wake pulls a turbine below cut-out; bound the
     # reordered sum by 1e-15 of max(1, eta)
     assert np.all(np.abs(got_etas - etas) <= 1e-15 * np.maximum(1.0, etas))
+
+
+def searches(data):
+    """A tiny search instance: spec (deficit numerator drawn), a grid of 2-4
+    cells per side, a single-bin or uniform scenario above cut-in, 2-4
+    turbines and small GAParams with at most 30 generations."""
+    spec = TurbineSpec(deficit_numerator=data.draw(st.sampled_from(NUMERATOR_MODES)))
+    cells = data.draw(st.integers(2, 4))
+    grid = build_grid(data.draw(st.floats(2.0, 8.0)) * spec.rotor_radius * cells, cells)
+    speed = data.draw(st.floats(spec.cut_in + 0.5, spec.cut_out - 0.5))
+    scenario = data.draw(st.one_of(
+        st.floats(0.0, 359.9).map(lambda theta: single_bin(theta, speed)),
+        st.integers(1, 12).map(lambda sectors: uniform_directions(speed, sectors)),
+    ))
+    population = data.draw(st.integers(2, 16))
+    elites = data.draw(st.integers(1, min(3, population)))
+    relocations = data.draw(st.integers(0, population - elites))
+    params = GAParams(
+        population=population,
+        elites=elites,
+        relocations=relocations,
+        aliens=data.draw(st.integers(0, population - elites - relocations)),
+        max_generations=data.draw(st.integers(0, 30)),
+        chaos_seed=data.draw(st.floats(0.01, 0.99).filter(lambda x: x not in FORBIDDEN_SEEDS)),
+    )
+    return params, grid, scenario, spec, data.draw(st.integers(2, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_best_eta_never_decreases(data):
+    params, grid, scenario, spec, n = searches(data)
+    for search in (run_aga, run_conventional_ga):
+        _, trace = search(params, grid, scenario, spec, n)
+        best = [t.best_eta for t in trace]
+        assert all(a <= b for a, b in zip(best, best[1:]))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_each_generations_best_matches_the_oracle(data):
+    params, grid, scenario, spec, n = searches(data)
+    for search in (run_aga, run_conventional_ga):
+        best, trace = search(params, grid, scenario, spec, n)
+        assert best == trace[-1].best_layout
+        slow = {}
+        for t in trace:
+            if t.best_layout not in slow:
+                slow[t.best_layout] = straight_line_eval(
+                    t.best_layout.positions(grid), scenario, spec)
+            ref = slow[t.best_layout]
+            assert t.best_eta == pytest.approx(ref.efficiency, rel=1e-9)
+            assert t.best_power == pytest.approx(ref.total_power, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_conventional_ga_is_the_adapted_loop_with_relocations_as_aliens(data):
+    params, grid, scenario, spec, n = searches(data)
+    split = replace(params, relocations=0, aliens=params.aliens + params.relocations)
+    _, conventional = run_conventional_ga(params, grid, scenario, spec, n)
+    _, adapted = run_aga(split, grid, scenario, spec, n)
+    assert trace_records(conventional) == trace_records(adapted)
