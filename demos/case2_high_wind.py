@@ -23,7 +23,7 @@ params = GAParams(target_efficiency=1.0, max_generations=10, chaos_seed=0.1357)
 best, trace = run_aga(params, grid, scenario, spec, n_turbines=16)
 
 result = FarmEvaluator(grid.points, scenario, spec).evaluate(best.occupied)
-wakes = int((squared_deficit_matrix(best.positions(grid), 0.0, spec) > 0.0).sum())
+wakes = int((squared_deficit_matrix(grid.points[list(best.occupied)], 0.0, spec) > 0.0).sum())
 
 print(f"reached eta = {result.efficiency:.4%} at generation {trace[-1].generation}")
 print(f"wake interactions present in the final layout: {wakes}")

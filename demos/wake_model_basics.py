@@ -9,7 +9,7 @@ from windlayout import (
     circle_overlap_area,
     decay_factor,
     effective_speeds,
-    power_at,
+    power_values,
     wake_radius,
 )
 from windlayout.wake import squared_deficit_matrix
@@ -41,5 +41,5 @@ for off in (0.0, 40.0, 80.0, 120.0, 160.0):
 print("\neffective speeds and power at 12 m/s:")
 for v in (8.0, 12.0, 16.0):
     u = effective_speeds(positions, 0.0, v, spec)
-    powers = [power_at(spec, float(ui)) for ui in u]
+    powers = power_values(spec, u)
     print(f"  free {v:>4.1f} m/s -> u = {np.round(u, 2)} m/s, power = {np.round(powers)} kW")

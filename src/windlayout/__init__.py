@@ -11,7 +11,7 @@ from .power import (
     EvaluationResult,
     FarmEvaluator,
     cost_curve,
-    power_at,
+    power_values,
 )
 from .optimizer import (
     ChaosStream,
@@ -31,7 +31,6 @@ from .scenario import (
     build_grid,
     case_scenario,
     single_bin,
-    solution_space_size,
     uniform_directions,
     uniform_layout,
     weibull_rose,

@@ -3,26 +3,9 @@ orchestration and file emission.
 
 Config files are INI-style text (sections in brackets, ``key = value``
 lines, ``#``/``;`` comments). An empty or absent file runs the case-1
-preset with all defaults. Sections and keys::
-
-    [grid]      side (m), cells, turbines
-    [turbine]   rotor_radius, hub_height, thrust_coefficient,
-                surface_roughness, rated_power, cut_in, rated_speed,
-                cut_out, power_poly (5 whitespace-separated coefficients)
-    [scenario]  case = case1|case2|case3|case4|custom
-                kind = single|uniform|weibull   (custom only)
-                theta, speed, sectors, weibull_shape, weibull_scale,
-                speed_bin_width, speed_max
-    [ga]        population, elites, relocations, aliens, max_generations,
-                target_efficiency (finite number or 'none'), seed
-    [model]     deficit_numerator = standard|paper_literal
-                uniform_pattern = line|square_lattice
-                spacing_check = off|strict
-    [sweep]     edges (at least 4, whitespace-separated, descending), repeats
-    [compare]   seeds (count of paired seeds)
-    [output]    dir
-
-A key not listed under its section here is a config error.
+preset with all defaults. ``CONFIG_KEYS`` below holds every section and
+key with its parser, default and check; README's ``ini`` block documents
+them, and a test keeps the two in step. Any other key is a config error.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 verification
 failure. The output directory resolves as --out flag, then [output] dir,
 then $WINDLAYOUT_OUT, then ./out.
@@ -51,10 +34,10 @@ from .scenario import (
     weibull_rose,
 )
 from .study import (
+    budget_edge,
     compare_uniform_vs_aga,
     convergence_comparison,
     fit_poly3,
-    power_drop_at_budget,
     repeat_seeds,
     shrink_sweep,
     sweep_rows,
@@ -65,6 +48,8 @@ LAYOUT_SCHEMA = "windlayout-layout v1"
 TRACE_SCHEMA = "windlayout-trace v1"
 SUMMARY_SCHEMA = "windlayout-summary v1"
 SWEEP_SCHEMA = "windlayout-sweep v1"
+COST_CURVE_SCHEMA = "windlayout-cost-curve v1"
+COST_CURVE_MAX = 100
 
 
 class ConfigError(ValueError):
@@ -121,7 +106,7 @@ _TURBINE_FLOATS = ("rotor_radius", "hub_height", "thrust_coefficient", "surface_
                    "rated_power", "cut_in", "rated_speed", "cut_out")
 
 # (section, key) -> (convert or allowed values, default, check, message);
-# a default of None under [turbine] keeps the TurbineSpec default
+# a None default under [turbine] or [ga] keeps the TurbineSpec or GAParams default
 CONFIG_KEYS = {
     ("grid", "side"): (float, 4000.0, _positive, "side must be finite and > 0"),
     ("grid", "cells"): (int, 20, _at_least(1), "cells >= 1"),
@@ -137,13 +122,13 @@ CONFIG_KEYS = {
     ("scenario", "weibull_scale"): (float, 10.5, _positive, _FINITE),
     ("scenario", "speed_bin_width"): (float, 1.0, _positive, _FINITE),
     ("scenario", "speed_max"): (float, 30.0, _positive, _FINITE),
-    ("ga", "population"): (int, 120, _at_least(1), ">= 1"),
-    ("ga", "elites"): (int, 12, _at_least(1), ">= 1"),
-    ("ga", "relocations"): (int, 36, _at_least(0), ">= 0"),
-    ("ga", "aliens"): (int, 12, _at_least(0), ">= 0"),
-    ("ga", "max_generations"): (int, 200, _at_least(0), ">= 0"),
+    ("ga", "population"): (int, None, _at_least(1), ">= 1"),
+    ("ga", "elites"): (int, None, _at_least(1), ">= 1"),
+    ("ga", "relocations"): (int, None, _at_least(0), ">= 0"),
+    ("ga", "aliens"): (int, None, _at_least(0), ">= 0"),
+    ("ga", "max_generations"): (int, None, _at_least(0), ">= 0"),
     ("ga", "target_efficiency"): (_target, None, None, ""),  # absent: 1.0 for cases 1-2
-    ("ga", "seed"): (float, 0.1357, None, ""),
+    ("ga", "seed"): (float, None, None, ""),
     ("model", "deficit_numerator"): (NUMERATOR_MODES, "standard", None, ""),
     ("model", "uniform_pattern"): (("line", "square_lattice"), "line", None, ""),
     ("model", "spacing_check"): (("off", "strict"), "off", None, ""),
@@ -221,10 +206,10 @@ def load_config(path: str | None) -> RunConfig:
         # non-finite or inconsistent scenario values (WindScenario checks)
         raise ConfigError(f"[scenario] {exc}") from exc
 
-    ga = {key: value for (section, key), value in v.items() if section == "ga"}
-    ga["chaos_seed"] = ga.pop("seed")
-    if not parser.has_option("ga", "target_efficiency"):
-        ga["target_efficiency"] = 1.0 if case in ("case1", "case2") else None
+    ga = {"chaos_seed" if key == "seed" else key: value
+          for (section, key), value in v.items() if section == "ga" and value is not None}
+    if not parser.has_option("ga", "target_efficiency") and case in ("case1", "case2"):
+        ga["target_efficiency"] = 1.0
     try:
         ga = GAParams(**ga)
     except ValueError as exc:
@@ -358,7 +343,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
         "fit_residual_norm": fit.residual_norm,
     }
     try:
-        edge, saving = power_drop_at_budget(sweep, 0.05)
+        edge, saving = budget_edge(sweep, fit, 0.05)
         payload["budget_5pct_edge"] = edge
         payload["budget_5pct_area_saving"] = saving
     except ValueError as exc:
@@ -410,11 +395,11 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, args) -> int:
     return 0 if all(passed for _, passed, _ in checks) else 3
 
 
-def _cmd_cost_curve(cfg: RunConfig, out_dir: str, args, n_max: int = 100) -> int:
-    lines = [f"# {SWEEP_SCHEMA}", "n,total_cost"]
-    lines += [f"{n},{cost_curve(n)!r}" for n in range(1, n_max + 1)]
+def _cmd_cost_curve(cfg: RunConfig, out_dir: str, args) -> int:
+    lines = [f"# {COST_CURVE_SCHEMA}", "n,total_cost"]
+    lines += [f"{n},{cost_curve(n)!r}" for n in range(1, COST_CURVE_MAX + 1)]
     _write_text(os.path.join(out_dir, "cost_curve.csv"), "\n".join(lines) + "\n")
-    print(f"cost-curve: wrote N=1..{n_max}")
+    print(f"cost-curve: wrote N=1..{COST_CURVE_MAX}")
     return 0
 
 

@@ -94,10 +94,6 @@ class Layout:
     def n(self) -> int:
         return len(self.occupied)
 
-    def positions(self, grid) -> np.ndarray:
-        """(n, 2) coordinates of the occupied cells on a grid."""
-        return grid.points[list(self.occupied)]
-
 
 @dataclass(frozen=True)
 class GAParams:
@@ -119,8 +115,7 @@ class GAParams:
             raise ValueError("at least one elite is required")
         if self.elites + self.relocations + self.aliens > self.population:
             raise ValueError("elites + relocations + aliens must not exceed population")
-        if not 0.0 < self.chaos_seed < 1.0 or self.chaos_seed in FORBIDDEN_SEEDS:
-            raise ValueError(f"chaos_seed must lie in (0, 1) and avoid {FORBIDDEN_SEEDS}")
+        ChaosStream(self.chaos_seed)  # raises unless the seed is a valid chaos seed
         if self.target_efficiency is not None and not np.isfinite(self.target_efficiency):
             raise ValueError("target_efficiency must be None or a finite number")
 
@@ -208,11 +203,10 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
     when the best efficiency reaches the target.
     """
     m = len(grid.points)
-    if n_turbines > m:
-        raise ValueError("cannot place more turbines than candidate cells")
-    evaluator = FarmEvaluator(grid.points, scenario, spec)
     stream = ChaosStream(params.chaos_seed)
+    # drawn first, so an overfull layout fails before any table is built
     population = initialize_population(params, m, n_turbines, stream)
+    evaluator = FarmEvaluator(grid.points, scenario, spec)
     cache: dict = {}  # occupied -> (efficiency, expected power per turbine)
 
     trace = []

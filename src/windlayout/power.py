@@ -10,25 +10,21 @@ from .wake import TurbineSpec, _check_distinct, squared_deficits
 
 
 def power_values(spec: TurbineSpec, speeds) -> np.ndarray:
-    """Vectorised power output in kW for an array of wind speeds, on the
-    spec's piecewise curve: zero below cut-in, rated plateau above rated
+    """Vectorised power output in kW for a wind speed or an array of them, on
+    the spec's piecewise curve: zero below cut-in, rated plateau above rated
     speed, zero at/after cut-out, quartic fit in between (clamped to
     [0, rated_power] since the fit slightly overshoots the plateau near
-    rated)."""
+    rated). Every speed must be finite and >= 0."""
     u = np.asarray(speeds, dtype=float)
+    valid = np.isfinite(u) & (u >= 0.0)
+    if not valid.all():
+        raise ValueError(f"wind speed must be finite and >= 0, got {float(u[~valid][0])!r}")
     p = np.clip(np.polyval(spec.power_poly, u), 0.0, spec.rated_power)
     p = np.where(u < spec.cut_in, 0.0, p)
     p = np.where(u >= spec.rated_speed, spec.rated_power, p)
     if math.isfinite(spec.cut_out):
         p = np.where(u >= spec.cut_out, 0.0, p)
     return p
-
-
-def power_at(spec: TurbineSpec, v: float) -> float:
-    """Power output in kW at a single wind speed."""
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"wind speed must be finite and >= 0, got {v!r}")
-    return float(power_values(spec, v))
 
 
 def cost_curve(n_turbines: int) -> float:

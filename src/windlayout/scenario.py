@@ -37,11 +37,6 @@ def build_grid(side: float, cells: int) -> Grid:
     return Grid(float(side), int(cells), edge, points)
 
 
-def solution_space_size(m: int, n: int) -> int:
-    """Number of distinct n-turbine layouts over m candidate cells."""
-    return math.comb(m, n)
-
-
 @dataclass(frozen=True)
 class WindScenario:
     """Discrete joint wind distribution: (direction deg, speed m/s, weight)

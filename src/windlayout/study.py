@@ -26,7 +26,6 @@ class ShrinkSweepPoint:
 
 @dataclass(frozen=True)
 class PolyFit:
-    degree: int
     coefficients: tuple  # highest degree first
     residual_norm: float
 
@@ -42,7 +41,7 @@ def fit_poly3(points) -> PolyFit:
         raise ValueError("design is rank-deficient: all x equal")
     coeffs = np.polyfit(x, y, 3)
     residual = float(np.linalg.norm(np.polyval(coeffs, x) - y))
-    return PolyFit(3, tuple(float(c) for c in coeffs), residual)
+    return PolyFit(tuple(float(c) for c in coeffs), residual)
 
 
 def repeat_seeds(base_seed: float, repeats: int) -> list:
@@ -124,17 +123,21 @@ def shrink_sweep(
 
 
 def power_drop_at_budget(sweep, budget: float):
-    """Smallest swept edge whose fitted power drop stays within the budget.
+    """Smallest swept edge whose fitted power drop stays within the budget:
+    ``budget_edge`` on the cubic fitted to power_fraction vs edge."""
+    return budget_edge(sweep, fit_poly3([(p.edge, p.power_fraction) for p in sweep]), budget)
 
-    The cubic is fitted to power_fraction vs edge and normalised at the
-    baseline edge, so the baseline's predicted drop is exactly zero. Returns
-    (edge, area saving relative to the baseline).
+
+def budget_edge(sweep, fit: PolyFit, budget: float):
+    """Smallest swept edge whose power drop on ``fit`` stays within the budget.
+
+    The fit is normalised at the baseline edge, so the baseline's predicted
+    drop is exactly zero. Returns (edge, area saving relative to the baseline).
     """
     if not 0.0 <= budget < 1.0:
         raise ValueError("budget must lie in [0, 1)")
     if not sweep:
         raise ValueError("sweep is empty")
-    fit = fit_poly3([(p.edge, p.power_fraction) for p in sweep])
     base_edge = max(p.edge for p in sweep)
     base_val = float(np.polyval(fit.coefficients, base_edge))
 

@@ -64,8 +64,6 @@ class TurbineSpec:
 
 def decay_factor(spec: TurbineSpec) -> float:
     """Wake expansion rate k = 0.5 / ln(hub_height / surface_roughness)."""
-    if not spec.hub_height > spec.surface_roughness > 0:
-        raise ValueError("need hub_height > surface_roughness > 0")
     return 0.5 / math.log(spec.hub_height / spec.surface_roughness)
 
 

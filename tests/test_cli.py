@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import windlayout.oracle as oracle
@@ -17,7 +18,7 @@ from windlayout.cli import (
     resolve_out_dir,
     write_layout_csv,
 )
-from windlayout.optimizer import Layout
+from windlayout.optimizer import GAParams, Layout
 from windlayout.power import FarmEvaluator, cost_curve
 from windlayout.scenario import build_grid
 
@@ -54,6 +55,7 @@ class TestLoadConfig:
         assert cfg.cells == 20 and cfg.side == 4000.0 and cfg.turbines == 16
         assert cfg.ga.population == 120
         assert cfg.ga.target_efficiency == 1.0  # cases 1-2 aim for full efficiency
+        assert cfg.ga == dataclasses.replace(GAParams(), target_efficiency=1.0)
         assert cfg.spec.deficit_numerator == "standard"
 
     def test_missing_path_is_defaults(self):
@@ -292,7 +294,7 @@ class TestCommands:
         out = str(tmp_path / "out")
         assert main(["cost-curve", "--out", out]) == 0
         lines = (tmp_path / "out" / "cost_curve.csv").read_text().splitlines()
-        assert lines[0] == "# windlayout-sweep v1"
+        assert lines[0] == "# windlayout-cost-curve v1"
         assert lines[1] == "n,total_cost"
         for row in lines[2:]:
             n, cost = row.split(",")
@@ -319,6 +321,20 @@ repeats = 2
         assert len(rows) == 2 + 4
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         assert len(summary["fit_coefficients"]) == 4
+
+    def test_sweep_fits_the_cubic_once(self, tmp_path, monkeypatch):
+        calls = []
+        polyfit = np.polyfit
+
+        def counting_polyfit(*args, **kwargs):
+            calls.append(args)
+            return polyfit(*args, **kwargs)
+
+        monkeypatch.setattr(np, "polyfit", counting_polyfit)
+        text = SMALL_GRID + FAST_GA + "\n[sweep]\nedges = 400 340 280 220\nrepeats = 1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_compare_command(self, tmp_path):
         text = SMALL_GRID + FAST_GA + "\n[compare]\nseeds = 2\n"

@@ -158,7 +158,8 @@ class TestWorstTurbine:
             occ = tuple(sorted(rng.choice(grid.count, size=5, replace=False).tolist()))
             layout = Layout(occ, grid.count)
             got = worst_moved(layout, grid, scenario, spec)
-            powers = straight_line_eval(layout.positions(grid), scenario, spec).per_turbine_power
+            positions = grid.points[list(layout.occupied)]
+            powers = straight_line_eval(positions, scenario, spec).per_turbine_power
             assert got == occ[int(np.argmin(powers))]
 
 
@@ -294,6 +295,16 @@ class TestRunAga:
                           max_generations=500, target_efficiency=opt_eta)
         _, trace = run_aga(params, grid, scenario, spec, 3)
         assert trace[-1].best_eta >= opt_eta - 1e-12
+
+    def test_overfull_farm_fails_before_any_table_is_built(self, spec, monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("FarmEvaluator built before the turbine count was checked")
+
+        monkeypatch.setattr(FarmEvaluator, "__init__", no_tables)
+        grid = build_grid(1000.0, 2)  # 9 candidate cells
+        params = GAParams(population=4, elites=1, relocations=1, aliens=1)
+        with pytest.raises(ValueError, match="more turbines than"):
+            run_aga(params, grid, single_bin(0.0, 12.0), spec, grid.count + 1)
 
 
 class TestConventionalGa:

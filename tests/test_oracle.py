@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from windlayout.oracle import exhaustive_best, mc_overlap, straight_line_eval
-from windlayout.power import FarmEvaluator, power_at
+from windlayout.power import FarmEvaluator, power_values
 from windlayout.scenario import build_grid, single_bin, uniform_directions
 
 
@@ -38,7 +38,7 @@ class TestMcOverlap:
 class TestStraightLineEval:
     def test_single_turbine(self, spec):
         result = straight_line_eval([(0.0, 0.0)], single_bin(0.0, 12.0), spec)
-        assert result.total_power == pytest.approx(power_at(spec, 12.0), rel=1e-12)
+        assert result.total_power == pytest.approx(power_values(spec, 12.0), rel=1e-12)
         assert result.efficiency == pytest.approx(1.0, rel=1e-12)
 
     def test_differential_against_fast_evaluator(self, spec, default_grid, rng):

@@ -10,7 +10,6 @@ from windlayout.oracle import straight_line_eval
 from windlayout.power import (
     FarmEvaluator,
     cost_curve,
-    power_at,
     power_values,
 )
 from windlayout.scenario import (
@@ -26,33 +25,33 @@ from windlayout.wake import TurbineSpec, effective_speeds, squared_deficit_matri
 
 class TestPowerAt:
     def test_below_cut_in(self, spec):
-        assert power_at(spec, 2.0) == 0.0
+        assert power_values(spec, 2.0) == 0.0
 
     def test_rated_plateau(self, spec):
-        assert power_at(spec, 20.0) == 5000.0
-        assert power_at(spec, 14.0) == 5000.0
+        assert power_values(spec, 20.0) == 5000.0
+        assert power_values(spec, 14.0) == 5000.0
 
     def test_quartic_overshoot_clamped(self, spec):
         # the fit slightly exceeds the plateau just below rated speed
         raw = np.polyval(spec.power_poly, 14.0)
         assert raw == pytest.approx(5026.88, abs=0.01)
-        assert power_at(spec, 13.999999) == 5000.0
+        assert power_values(spec, 13.999999) == 5000.0
 
     def test_quartic_value(self, spec):
         v = 10.0
         horner = 0.0
         for c in spec.power_poly:
             horner = horner * v + c
-        assert power_at(spec, v) == pytest.approx(horner, rel=1e-14)
-        assert power_at(spec, v) == pytest.approx(3195.6943, abs=1e-4)
+        assert power_values(spec, v) == pytest.approx(horner, rel=1e-14)
+        assert power_values(spec, v) == pytest.approx(3195.6943, abs=1e-4)
 
     def test_cut_out(self, spec):
-        assert power_at(spec, 25.0) == 0.0
-        assert power_at(spec, 30.0) == 0.0
+        assert power_values(spec, 25.0) == 0.0
+        assert power_values(spec, 30.0) == 0.0
 
     def test_no_cut_out_when_infinite(self):
         s = TurbineSpec(cut_out=math.inf)
-        assert power_at(s, 60.0) == s.rated_power
+        assert power_values(s, 60.0) == s.rated_power
 
     def test_non_decreasing_below_rated(self, spec):
         grid = np.arange(0.0, 14.0 + 1e-9, 0.01)
@@ -61,8 +60,11 @@ class TestPowerAt:
         assert np.all(p >= 0.0)
 
     def test_rejects_negative_speed(self, spec):
-        with pytest.raises(ValueError):
-            power_at(spec, -0.1)
+        for bad in (-0.1, math.nan, math.inf, -math.inf, [12.0, -0.1, 8.0]):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                power_values(spec, bad)
+        with pytest.raises(ValueError, match="got -0.1"):
+            power_values(spec, np.array([[12.0, 3.0], [-0.1, 8.0]]))
 
 
 class TestCostCurve:
@@ -82,7 +84,7 @@ class TestCostCurve:
 class TestExpectedFarmPower:
     def test_single_turbine_point_mass(self, spec):
         result = FarmEvaluator([(0.0, 0.0)], single_bin(0.0, 12.0), spec).evaluate()
-        assert result.total_power == pytest.approx(power_at(spec, 12.0), rel=1e-12)
+        assert result.total_power == pytest.approx(power_values(spec, 12.0), rel=1e-12)
         assert result.efficiency == pytest.approx(1.0, rel=1e-12)
 
     def test_isolated_turbines_full_efficiency(self, spec):
@@ -91,7 +93,7 @@ class TestExpectedFarmPower:
         pos = [(i * 50000.0, i * 37000.0) for i in range(5)]
         scenario = uniform_directions(11.0, 4)
         result = FarmEvaluator(pos, scenario, spec).evaluate()
-        unit = sum(w * power_at(spec, v) for _, v, w in scenario.bins)
+        unit = sum(w * power_values(spec, v) for _, v, w in scenario.bins)
         assert result.total_power == pytest.approx(5 * unit, rel=1e-12)
         assert result.efficiency == pytest.approx(1.0, rel=1e-12)
 
@@ -110,7 +112,7 @@ class TestExpectedFarmPower:
         pos = rng.uniform(0, 2500, size=(8, 2))
         scenario = uniform_directions(12.0, 6)
         result = FarmEvaluator(pos, scenario, spec).evaluate()
-        unit = sum(w * power_at(spec, v) for _, v, w in scenario.bins)
+        unit = sum(w * power_values(spec, v) for _, v, w in scenario.bins)
         assert result.efficiency == pytest.approx(result.total_power / (8 * unit), rel=1e-12)
 
     def test_rejects_unnormalised_scenario(self):
@@ -318,7 +320,7 @@ class TestExpectedPowerTable:
         # plateau, 25.0 already cut out
         for v in (3.0, 14.0, 25.0):
             unit = FarmEvaluator([(0.0, 0.0)], single_bin(0.0, v), spec).unit_power
-            assert unit == pytest.approx(power_at(spec, v), rel=1e-13, abs=0.0)
+            assert unit == pytest.approx(power_values(spec, v), rel=1e-13, abs=0.0)
         evaluator = FarmEvaluator([(0.0, 0.0)], CUT_SPEEDS, spec)
         by_hand = pointwise_power(CUT_SPEEDS, spec, np.ones((3, 1)))
         assert evaluator.unit_power == pytest.approx(by_hand[0], rel=1e-13)

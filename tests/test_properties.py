@@ -181,7 +181,7 @@ def test_each_generations_best_matches_the_oracle(data):
         for t in trace:
             if t.best_layout not in slow:
                 slow[t.best_layout] = straight_line_eval(
-                    t.best_layout.positions(grid), scenario, spec)
+                    grid.points[list(t.best_layout.occupied)], scenario, spec)
             ref = slow[t.best_layout]
             assert t.best_eta == pytest.approx(ref.efficiency, rel=1e-9)
             assert t.best_power == pytest.approx(ref.total_power, rel=1e-9)

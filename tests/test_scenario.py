@@ -7,7 +7,6 @@ from windlayout.scenario import (
     build_grid,
     case_scenario,
     single_bin,
-    solution_space_size,
     uniform_directions,
     uniform_layout,
     weibull_cdf,
@@ -45,11 +44,6 @@ class TestBuildGrid:
         for side in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 build_grid(side, 20)
-
-    def test_solution_space(self):
-        # exact binomial count for the 16-of-441 placement problem
-        assert solution_space_size(441, 16) == 74269948002784421201157466161
-        assert 2.0**441 == pytest.approx(5.68e132, rel=2e-3)
 
 
 class TestScenarios:
