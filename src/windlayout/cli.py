@@ -7,8 +7,7 @@ preset with all defaults. ``CONFIG_KEYS`` below holds every section and
 key with its parser, default and check; README's ``ini`` block documents
 them, and a test keeps the two in step. Any other key is a config error.
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 verification
-failure. The output directory resolves as --out flag, then [output] dir,
-then $WINDLAYOUT_OUT, then ./out.
+failure. ``--out`` sets the output directory, default ./out.
 """
 
 import argparse
@@ -60,8 +59,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run settings with defaults applied."""
 
-    side: float
-    cells: int
+    grid: Grid
     turbines: int
     spec: TurbineSpec
     case: str
@@ -72,7 +70,6 @@ class RunConfig:
     sweep_edges: list
     sweep_repeats: int
     compare_seeds: int
-    out_dir: str | None
 
 
 def _fail(section, key, message):
@@ -108,8 +105,8 @@ _TURBINE_FLOATS = ("rotor_radius", "hub_height", "thrust_coefficient", "surface_
 # (section, key) -> (convert or allowed values, default, check, message);
 # a None default under [turbine] or [ga] keeps the TurbineSpec or GAParams default
 CONFIG_KEYS = {
-    ("grid", "side"): (float, 4000.0, _positive, "side must be finite and > 0"),
-    ("grid", "cells"): (int, 20, _at_least(1), "cells >= 1"),
+    ("grid", "side"): (float, 4000.0, None, ""),
+    ("grid", "cells"): (int, 20, None, ""),
     ("grid", "turbines"): (int, 16, _at_least(1), "turbines >= 1"),
     **{("turbine", key): (float, None, None, "") for key in _TURBINE_FLOATS},
     ("turbine", "power_poly"): (_floats, None, None, ""),
@@ -122,11 +119,11 @@ CONFIG_KEYS = {
     ("scenario", "weibull_scale"): (float, 10.5, _positive, _FINITE),
     ("scenario", "speed_bin_width"): (float, 1.0, _positive, _FINITE),
     ("scenario", "speed_max"): (float, 30.0, _positive, _FINITE),
-    ("ga", "population"): (int, None, _at_least(1), ">= 1"),
-    ("ga", "elites"): (int, None, _at_least(1), ">= 1"),
-    ("ga", "relocations"): (int, None, _at_least(0), ">= 0"),
-    ("ga", "aliens"): (int, None, _at_least(0), ">= 0"),
-    ("ga", "max_generations"): (int, None, _at_least(0), ">= 0"),
+    ("ga", "population"): (int, None, None, ""),
+    ("ga", "elites"): (int, None, None, ""),
+    ("ga", "relocations"): (int, None, None, ""),
+    ("ga", "aliens"): (int, None, None, ""),
+    ("ga", "max_generations"): (int, None, None, ""),
     ("ga", "target_efficiency"): (_target, None, None, ""),  # absent: 1.0 for cases 1-2
     ("ga", "seed"): (float, None, None, ""),
     ("model", "deficit_numerator"): (NUMERATOR_MODES, "standard", None, ""),
@@ -136,7 +133,6 @@ CONFIG_KEYS = {
                          "need at least 4 finite, positive, strictly descending edges"),
     ("sweep", "repeats"): (int, 5, _at_least(1), ">= 1"),
     ("compare", "seeds"): (int, 5, _at_least(1), ">= 1"),
-    ("output", "dir"): (str, None, None, ""),
 }
 
 
@@ -178,9 +174,13 @@ def load_config(path: str | None) -> RunConfig:
                 _fail(section, key, "unknown key")
     v = {key: _read(parser, *key) for key in CONFIG_KEYS}
 
-    cells, turbines = v["grid", "cells"], v["grid", "turbines"]
-    if turbines > (cells + 1) ** 2:
-        _fail("grid", "turbines", f"cannot exceed candidate count {(cells + 1) ** 2}")
+    try:
+        grid = build_grid(v["grid", "side"], v["grid", "cells"])
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+    turbines = v["grid", "turbines"]
+    if turbines > grid.count:
+        _fail("grid", "turbines", f"cannot exceed candidate count {grid.count}")
     try:
         spec = TurbineSpec(deficit_numerator=v["model", "deficit_numerator"],
                            **{key: value for (section, key), value in v.items()
@@ -216,8 +216,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"[ga] {exc}") from exc
 
     return RunConfig(
-        side=v["grid", "side"],
-        cells=cells,
+        grid=grid,
         turbines=turbines,
         spec=spec,
         case=case,
@@ -228,16 +227,7 @@ def load_config(path: str | None) -> RunConfig:
         sweep_edges=list(v["sweep", "edges"]),
         sweep_repeats=v["sweep", "repeats"],
         compare_seeds=v["compare", "seeds"],
-        out_dir=v["output", "dir"],
     )
-
-
-def resolve_out_dir(cfg: RunConfig, flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    if cfg.out_dir:
-        return cfg.out_dir
-    return os.environ.get("WINDLAYOUT_OUT", "out")
 
 
 def _write_text(path, text):
@@ -281,12 +271,11 @@ def write_json(path, payload):
 
 
 def _cmd_optimize(cfg: RunConfig, out_dir: str, args) -> int:
-    grid = build_grid(cfg.side, cfg.cells)
     t0 = time.perf_counter()
-    best, trace = run_aga(cfg.ga, grid, cfg.scenario, cfg.spec, cfg.turbines)
+    best, trace = run_aga(cfg.ga, cfg.grid, cfg.scenario, cfg.spec, cfg.turbines)
     wall = time.perf_counter() - t0
     last = trace[-1]
-    write_layout_csv(os.path.join(out_dir, "layout.csv"), best, grid)
+    write_layout_csv(os.path.join(out_dir, "layout.csv"), best, cfg.grid)
     write_trace_records(os.path.join(out_dir, "trace.jsonl"), trace_records(trace))
     write_json(
         os.path.join(out_dir, "summary.json"),
@@ -306,9 +295,8 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def _cmd_evaluate(cfg: RunConfig, out_dir: str, args) -> int:
-    grid = build_grid(cfg.side, cfg.cells)
-    layout = read_layout_csv(args.layout, grid)
-    result = FarmEvaluator(grid.points, cfg.scenario, cfg.spec).evaluate(layout.occupied)
+    layout = read_layout_csv(args.layout, cfg.grid)
+    result = FarmEvaluator(cfg.grid.points, cfg.scenario, cfg.spec).evaluate(layout.occupied)
     write_json(
         os.path.join(out_dir, "evaluation.json"),
         {
@@ -331,7 +319,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
         cfg.spec,
         cfg.ga,
         cfg.sweep_repeats,
-        cells=cfg.cells,
+        cells=cfg.grid.cells,
         n_turbines=cfg.turbines,
         spacing_check=cfg.spacing_check,
     )
@@ -354,22 +342,21 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
-    grid = build_grid(cfg.side, cfg.cells)
     try:  # the uniform baseline must fit before any search runs
-        uniform_layout(grid, cfg.turbines, cfg.uniform_pattern)
+        uniform_layout(cfg.grid, cfg.turbines, cfg.uniform_pattern)
     except ValueError as exc:
         raise ConfigError(f"[model] uniform_pattern = {cfg.uniform_pattern}: {exc}, "
                           f"[grid] turbines = {cfg.turbines}") from exc
     seeds = repeat_seeds(cfg.ga.chaos_seed, cfg.compare_seeds)
-    pairs = convergence_comparison(grid, cfg.scenario, cfg.spec, cfg.ga, seeds, cfg.turbines)
+    pairs = convergence_comparison(cfg.grid, cfg.scenario, cfg.spec, cfg.ga, seeds, cfg.turbines)
     for loop in ("aga", "conventional"):
         records = [{"seed": p["seed"], **rec} for p in pairs for rec in trace_records(p[loop])]
         write_trace_records(os.path.join(out_dir, f"{loop}_trace.jsonl"), records)
 
     # pair 0 runs the base seed (repeat_seeds(s, r)[0] == s): its best layout
     # is the optimized layout to compare
-    record = compare_uniform_vs_aga(grid, cfg.scenario, cfg.spec, pairs[0]["aga"][-1].best_layout,
-                                    cfg.uniform_pattern)
+    record = compare_uniform_vs_aga(cfg.grid, cfg.scenario, cfg.spec,
+                                    pairs[0]["aga"][-1].best_layout, cfg.uniform_pattern)
     write_json(
         os.path.join(out_dir, "comparison.json"),
         {
@@ -388,8 +375,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out_dir: str, args) -> int:
-    checks = cross_checks(build_grid(cfg.side, cfg.cells), cfg.scenario, cfg.spec, cfg.turbines,
-                          cfg.ga.chaos_seed)
+    checks = cross_checks(cfg.grid, cfg.scenario, cfg.spec, cfg.turbines, cfg.ga.chaos_seed)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
     return 0 if all(passed for _, passed, _ in checks) else 3
@@ -422,7 +408,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="path to the INI config file")
         cmd.add_argument("--seed", type=float, default=None, help="chaos seed override in (0,1)")
-        cmd.add_argument("--out", default=None, help="output directory")
+        cmd.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "evaluate":
             cmd.add_argument("--layout", required=True, help="layout CSV to score")
     return parser
@@ -437,11 +423,10 @@ def main(argv=None) -> int:
                 cfg.ga = replace(cfg.ga, chaos_seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
-        out_dir = resolve_out_dir(cfg, args.out)
         if args.command != "verify":
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
         handler, _ = _COMMANDS[args.command]
-        return handler(cfg, out_dir, args)
+        return handler(cfg, args.out, args)
     except ConfigError as exc:  # a ValueError too, so caught first
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -62,8 +62,11 @@ def overlap_areas(wake_radius, rotor_radius, offset) -> np.ndarray:
     d2 = d - d1
     t1 = np.clip(d1 / r, -1.0, 1.0)
     t2 = np.clip(d2 / R, -1.0, 1.0)
-    seg1 = r**2 * np.arccos(t1) - d1 * np.sqrt(np.maximum(r**2 - d1**2, 0.0))
-    seg2 = R**2 * np.arccos(t2) - d2 * np.sqrt(np.maximum(R**2 - d2**2, 0.0))
+    # math.acos, not np.arccos: numpy's arccos gives other last bits under
+    # other SIMD dispatch, and a last-bit tie flip changes the search path
+    a1, a2 = (np.array([math.acos(t) for t in x.tolist()]) for x in (t1, t2))
+    seg1 = r**2 * a1 - d1 * np.sqrt(np.maximum(r**2 - d1**2, 0.0))
+    seg2 = R**2 * a2 - d2 * np.sqrt(np.maximum(R**2 - d2**2, 0.0))
     out[lens] = seg1 + seg2
     return out
 

@@ -154,10 +154,8 @@ def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
     return Layout(tuple(occupied), m)
 
 
-def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream | None = None) -> list:
+def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream) -> list:
     """Generate the initial population of fixed-cardinality layouts."""
-    if stream is None:
-        stream = ChaosStream(params.chaos_seed)
     return [chaotic_layout(stream, m, n) for _ in range(params.population)]
 
 

@@ -22,9 +22,7 @@ def power_values(spec: TurbineSpec, speeds) -> np.ndarray:
     p = np.clip(np.polyval(spec.power_poly, u), 0.0, spec.rated_power)
     p = np.where(u < spec.cut_in, 0.0, p)
     p = np.where(u >= spec.rated_speed, spec.rated_power, p)
-    if math.isfinite(spec.cut_out):
-        p = np.where(u >= spec.cut_out, 0.0, p)
-    return p
+    return np.where(u >= spec.cut_out, 0.0, p)
 
 
 def cost_curve(n_turbines: int) -> float:
@@ -184,7 +182,6 @@ class FarmEvaluator:
     def __init__(self, points, scenario, spec: TurbineSpec):
         self.points = np.asarray(points, dtype=float)
         self.scenario = scenario
-        self.spec = spec
         _check_distinct(self.points)
 
         by_theta: dict = {}

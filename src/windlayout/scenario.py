@@ -84,8 +84,8 @@ def weibull_cdf(v: float, shape: float, scale: float) -> float:
 def weibull_rose(
     shape: float = 2.1,
     scale: float = 10.5,
-    speed_edges=None,
-    direction_weights=None,
+    speed_edges=tuple(range(31)),
+    direction_weights=(1.0 / 12.0,) * 12,
 ) -> WindScenario:
     """Joint distribution: per-sector weight times Weibull speed-bin mass.
 
@@ -95,13 +95,9 @@ def weibull_rose(
     """
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
-    if speed_edges is None:
-        speed_edges = [float(e) for e in range(0, 31)]
     edges = [float(e) for e in speed_edges]
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("speed_edges must be at least two strictly increasing values")
-    if direction_weights is None:
-        direction_weights = [1.0 / 12.0] * 12
     dir_w = [float(w) for w in direction_weights]
     if any(w < 0 for w in dir_w) or abs(math.fsum(dir_w) - 1.0) > 1e-9:
         raise ValueError("direction weights must be non-negative and sum to 1")
@@ -158,9 +154,7 @@ def uniform_layout(grid: Grid, n: int, pattern: str = "line") -> Layout:
     if pattern == "square_lattice":
         if not 1 <= n <= grid.count:
             raise ValueError("square_lattice pattern needs 1 <= n <= grid.count")
-        k = math.isqrt(n - 1) + 1  # smallest k with k*k >= n
-        if k > cols:
-            raise ValueError("sub-lattice does not fit on the grid")
+        k = math.isqrt(n - 1) + 1  # smallest k with k*k >= n, so k <= cols
         marks = [int(round(c)) for c in np.linspace(0, grid.cells, k)] if k > 1 else [grid.cells // 2]
         occupied = [r * cols + c for r in marks for c in marks][:n]
         return Layout(tuple(occupied), grid.count)

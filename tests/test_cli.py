@@ -15,7 +15,6 @@ from windlayout.cli import (
     load_config,
     main,
     read_layout_csv,
-    resolve_out_dir,
     write_layout_csv,
 )
 from windlayout.optimizer import GAParams, Layout
@@ -52,7 +51,7 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, ""))
         assert cfg.case == "case1"
         assert cfg.scenario.bins == ((0.0, 12.0, 1.0),)
-        assert cfg.cells == 20 and cfg.side == 4000.0 and cfg.turbines == 16
+        assert cfg.grid.cells == 20 and cfg.grid.side == 4000.0 and cfg.turbines == 16
         assert cfg.ga.population == 120
         assert cfg.ga.target_efficiency == 1.0  # cases 1-2 aim for full efficiency
         assert cfg.ga == dataclasses.replace(GAParams(), target_efficiency=1.0)
@@ -146,16 +145,6 @@ sectors = 8
         documented = {(section, key) for section in parser.sections()
                       for key in parser.options(section)}
         assert documented == set(CONFIG_KEYS)
-
-    def test_out_dir_resolution(self, tmp_path, monkeypatch):
-        cfg = load_config(write_cfg(tmp_path, "[output]\ndir = cfgdir\n"))
-        assert resolve_out_dir(cfg, "flagdir") == "flagdir"
-        assert resolve_out_dir(cfg, None) == "cfgdir"
-        cfg2 = load_config(None)
-        monkeypatch.setenv("WINDLAYOUT_OUT", "envdir")
-        assert resolve_out_dir(cfg2, None) == "envdir"
-        monkeypatch.delenv("WINDLAYOUT_OUT")
-        assert resolve_out_dir(cfg2, None) == "out"
 
 
 class TestLayoutFiles:

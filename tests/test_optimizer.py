@@ -104,22 +104,26 @@ class TestInitializePopulation:
                         chaos_seed=seed)
 
     def test_cardinality(self):
-        pop = initialize_population(self.small_params(30), 441, 16)
+        params = self.small_params(30)
+        pop = initialize_population(params, 441, 16, ChaosStream(params.chaos_seed))
         assert len(pop) == 30
         assert all(layout.n == 16 for layout in pop)
 
     def test_full_grid(self):
-        pop = initialize_population(self.small_params(3), 9, 9)
+        params = self.small_params(3)
+        pop = initialize_population(params, 9, 9, ChaosStream(params.chaos_seed))
         assert all(layout.occupied == tuple(range(9)) for layout in pop)
 
     def test_seed_sensitivity(self):
-        a = initialize_population(self.small_params(5, 0.123), 100, 8)
-        b = initialize_population(self.small_params(5, 0.321), 100, 8)
+        pa, pb = self.small_params(5, 0.123), self.small_params(5, 0.321)
+        a = initialize_population(pa, 100, 8, ChaosStream(pa.chaos_seed))
+        b = initialize_population(pb, 100, 8, ChaosStream(pb.chaos_seed))
         assert [l.occupied for l in a] != [l.occupied for l in b]
 
     def test_rejects_overfull(self):
+        params = self.small_params(2)
         with pytest.raises(ValueError):
-            initialize_population(self.small_params(2), 10, 11)
+            initialize_population(params, 10, 11, ChaosStream(params.chaos_seed))
 
 
 def turbine_power(layout, grid, scenario, spec):
