@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .oracle import cross_checks
-from .optimizer import GAParams, Layout, run_aga, trace_records
+from .optimizer import GAParams, Layout, run_aga
 from .power import FarmEvaluator, cost_curve
 from .scenario import (
     Grid,
@@ -39,7 +39,6 @@ from .study import (
     fit_poly3,
     repeat_seeds,
     shrink_sweep,
-    sweep_rows,
 )
 from .wake import NUMERATOR_MODES, TurbineSpec
 
@@ -259,6 +258,19 @@ def read_layout_csv(path, grid: Grid) -> Layout:
     return Layout(tuple(indices), grid.count)
 
 
+def trace_records(trace) -> list:
+    """The ``trace.jsonl`` records of a search trace, one per generation."""
+    return [
+        {
+            "generation": t.generation,
+            "best_eta": t.best_eta,
+            "mean_eta": t.mean_eta,
+            "best_layout": list(t.best_layout.occupied),
+        }
+        for t in trace
+    ]
+
+
 def write_trace_records(path, records):
     """Write the trace schema line, then one JSON object per record."""
     lines = [json.dumps({"schema": TRACE_SCHEMA})]
@@ -310,6 +322,14 @@ def _cmd_evaluate(cfg: RunConfig, out_dir: str, args) -> int:
     )
     print(f"evaluate: eta={result.efficiency:.6f} P={result.total_power:.1f} kW")
     return 0
+
+
+def sweep_rows(sweep) -> list:
+    """The ``sweep.csv`` rows under its header line, one per sweep point."""
+    return [
+        f"{p.edge!r},{p.area_fraction!r},{p.power_fraction!r},{p.n_runs},{p.stderr!r}"
+        for p in sweep
+    ]
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:

@@ -128,20 +128,7 @@ class GenerationTrace:
     best_eta: float
     mean_eta: float
     best_layout: Layout
-    best_power: float  # kW, expected total power of best_layout; not in trace records
-
-
-def trace_records(trace) -> list:
-    """Plain dict records for JSON-lines emission."""
-    return [
-        {
-            "generation": t.generation,
-            "best_eta": t.best_eta,
-            "mean_eta": t.mean_eta,
-            "best_layout": list(t.best_layout.occupied),
-        }
-        for t in trace
-    ]
+    best_power: float  # kW, expected total power of best_layout; not in trace.jsonl
 
 
 def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
@@ -173,19 +160,16 @@ def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
     ``power`` is the expected power per turbine, ordered like
     ``layout.occupied``; ties resolve to the lowest index. The new cell
     excludes the entire current occupancy, so the move is a real relocation;
-    with no free cell (n == m) the layout is returned unchanged and the
-    stream is not advanced.
+    a full farm (n == m) has no free cell and raises before any draw.
     """
-    if layout.n == layout.m:
-        return layout
     return _moved(layout, int(np.argmin(power)), stream)
 
 
 def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
     """Toggle one occupied bit off and one free bit on (cardinality kept).
 
-    The added cell excludes the full original occupancy, so the result always
-    differs from the input in exactly two bits.
+    The added cell is free: it excludes the full original occupancy, so the
+    result always differs from the input in exactly two bits.
     """
     if not 0 < layout.n < layout.m:
         raise ValueError("mutation needs at least one occupied and one free cell")
@@ -198,9 +182,11 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
     Per generation: evaluate and rank, copy the elites, breed relocation
     descendants from them, inject fresh chaotic aliens, and fill the rest of
     the population with two-bit mutants; stop at the generation budget or
-    when the best efficiency reaches the target.
+    when the best efficiency reaches the target. Relocations and mutants move
+    a turbine only to a free cell; on a full farm they copy their parent.
     """
     m = len(grid.points)
+    movable = n_turbines < m
     stream = ChaosStream(params.chaos_seed)
     # drawn first, so an overfull layout fails before any table is built
     population = initialize_population(params, m, n_turbines, stream)
@@ -233,12 +219,12 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
         nxt = list(elites)
         for i in range(params.relocations):
             parent = elites[i % len(elites)]
-            nxt.append(relocate(parent, cache[parent.occupied][1], stream))
+            nxt.append(relocate(parent, cache[parent.occupied][1], stream) if movable else parent)
         for _ in range(params.aliens):
             nxt.append(chaotic_layout(stream, m, n_turbines))
         for _ in range(params.population - len(nxt)):
             parent = elites[stream.index(len(elites))]
-            nxt.append(mutate_twice(parent, stream) if parent.n < m else parent)
+            nxt.append(mutate_twice(parent, stream) if movable else parent)
         population = nxt
         generation += 1
 

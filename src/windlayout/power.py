@@ -216,13 +216,18 @@ class FarmEvaluator:
         self.unit_power = float(self._expected_power(np.ones((T, 1, 1)))[0, 0])
 
     def _rows(self, rows) -> np.ndarray:
-        """The checked (P, n) block: integer indices, distinct within a row."""
+        """The checked (P, n) block: distinct integer indices in [0, M) per row."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
             raise ValueError("rows must be a non-empty (P, n) block of integer indices")
         ordered = np.sort(rows, axis=1)
         if np.any(ordered[:, 1:] == ordered[:, :-1]):
             raise ValueError("indices must be distinct within each row")
+        if self.unit_power <= 0.0:
+            raise ValueError("denominator degenerate: scenario has no expected wake-free power")
+        M = len(self.points)
+        if rows.min() < 0 or rows.max() >= M:
+            raise ValueError(f"indices must lie in [0, {M})")
         return rows
 
     def _expected_power(self, ratio) -> np.ndarray:
@@ -248,14 +253,7 @@ class FarmEvaluator:
                 + np.take(self._y_pair, iy[:, :, None] * len(self._y_pair) + iy[:, None, :]))
 
     def _score(self, rows):
-        """Speed ratios (T, P, n) and expected power (P, n) of index rows."""
-        if self.unit_power <= 0.0:
-            raise ValueError(
-                "denominator degenerate: scenario has no expected wake-free power"
-            )
-        M = len(self.points)
-        if rows.min() < 0 or rows.max() >= M:
-            raise ValueError(f"indices must lie in [0, {M})")
+        """Speed ratios (T, P, n) and expected power (P, n) of checked rows."""
         sub = np.take(self._table, self._pair_keys(rows), axis=1)  # (T, P, n, n)
         ratio = 1.0 - np.minimum(np.sqrt(sub.sum(axis=3)), 1.0)
         return ratio, self._expected_power(ratio)

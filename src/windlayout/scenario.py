@@ -134,28 +134,27 @@ def case_scenario(name: str) -> WindScenario:
     return presets[name]()
 
 
+def _spaced_columns(cells: int, k: int) -> list:
+    """k evenly spaced columns of 0..cells; if k == 1, the centre one (the lower on a tie)."""
+    return [int(round(c)) for c in np.linspace(0, cells, k)] if k > 1 else [cells // 2]
+
+
 def uniform_layout(grid: Grid, n: int, pattern: str = "line") -> Layout:
     """Deterministic evenly spaced baseline arrangement.
 
     ``line`` places the turbines on equally spaced columns of the centre row;
-    ``square_lattice`` spreads them over a near-square sub-lattice. Ties for
-    the centre resolve to the lower index.
+    ``square_lattice`` spreads them over a near-square sub-lattice.
     """
     cols = grid.cells + 1
     if pattern == "line":
         if not 1 <= n <= cols:
             raise ValueError(f"line pattern fits at most {cols} turbines")
-        row = grid.cells // 2
-        if n == 1:
-            chosen = [grid.cells // 2]
-        else:
-            chosen = [int(round(c)) for c in np.linspace(0, grid.cells, n)]
-        return Layout(tuple(row * cols + c for c in chosen), grid.count)
-    if pattern == "square_lattice":
+        rows, columns = _spaced_columns(grid.cells, 1), _spaced_columns(grid.cells, n)
+    elif pattern == "square_lattice":
         if not 1 <= n <= grid.count:
             raise ValueError("square_lattice pattern needs 1 <= n <= grid.count")
         k = math.isqrt(n - 1) + 1  # smallest k with k*k >= n, so k <= cols
-        marks = [int(round(c)) for c in np.linspace(0, grid.cells, k)] if k > 1 else [grid.cells // 2]
-        occupied = [r * cols + c for r in marks for c in marks][:n]
-        return Layout(tuple(occupied), grid.count)
-    raise ValueError("pattern must be 'line' or 'square_lattice'")
+        rows = columns = _spaced_columns(grid.cells, k)
+    else:
+        raise ValueError("pattern must be 'line' or 'square_lattice'")
+    return Layout(tuple(r * cols + c for r in rows for c in columns)[:n], grid.count)

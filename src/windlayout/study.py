@@ -196,10 +196,3 @@ def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_t
         pairs.append({"seed": seed, "aga": aga_trace, "conventional": conv_trace})
     return pairs
 
-
-def sweep_rows(sweep) -> list:
-    """CSV rows (edge, area_fraction, power_fraction, n_runs, stderr)."""
-    return [
-        f"{p.edge!r},{p.area_fraction!r},{p.power_fraction!r},{p.n_runs},{p.stderr!r}"
-        for p in sweep
-    ]

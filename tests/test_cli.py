@@ -240,6 +240,13 @@ class TestCommands:
         assert "config error" in err and ("[grid] side" in err or "[sweep] edges" in err)
         assert not (tmp_path / "o").exists()
 
+    def test_turbines_above_candidate_count_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[grid]\ncells = 2\nturbines = 10\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert ("config error: [grid] turbines: cannot exceed candidate count 9"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_power_poly_exits_1(self, tmp_path, capsys):
         # a NaN coefficient would score eta = nan instead of failing
         cfg = write_cfg(tmp_path, "[turbine]\npower_poly = nan 0 0 0 1\n" + SMALL_GRID)

@@ -1,12 +1,15 @@
 """Golden outputs: SHA-256 digests of the files the CLI writes for fixed
-configs, and the case-4 bytes rerun with numpy's wider SIMD paths disabled.
+configs and of the ``verify`` report it prints, and the case-4 bytes rerun
+with numpy's wider SIMD paths disabled.
 
 The digests were recorded under numpy ``GOLDEN_NUMPY``; under another
 version their test skips. A change meant to move these bytes updates the
 digests and says why in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -28,6 +31,7 @@ RUNS = {  # run name -> (command, config text)
     "sweep_case3": ("sweep", "[scenario]\ncase = case3\n[grid]\ncells = 5\n"
                              "[sweep]\nedges = 200 180 160 140\nrepeats = 2\n"
                              "[ga]\nmax_generations = 20\n"),
+    "verify": ("verify", ""),
 }
 
 GOLDEN = {
@@ -55,17 +59,24 @@ GOLDEN = {
         "d1f3ed4c03d5756e4086145b6a7c3baf20ac685b8ce0c8c59960094ccd553d10",
     ("sweep_case3", "sweep_summary.json"):
         "83beabdc2057d08460573858c95d9f8ab23ba8ffab437a685c068b16f68ac8fc",
+    ("verify", "stdout"):
+        "0a99e646a471cf8b00a921ce57abca8b630bfaeee32a90d09efb22cd9d0b4ce7",
 }
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Directory holding each run's config (``<run>.ini``) and outputs."""
+    """Directory holding each run's config (``<run>.ini``) and outputs, its
+    stdout included."""
     root = tmp_path_factory.mktemp("golden")
     for run, (command, text) in RUNS.items():
         config = root / f"{run}.ini"
         config.write_text(text)
-        assert main([command, "--config", str(config), "--out", str(root / run)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([command, "--config", str(config), "--out", str(root / run)]) == 0
+        (root / run).mkdir(exist_ok=True)  # verify writes no files
+        (root / run / "stdout").write_text(stdout.getvalue())
     return root
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from windlayout.cli import trace_records
 from windlayout.optimizer import (
     ChaosStream,
     GAParams,
@@ -13,7 +14,6 @@ from windlayout.optimizer import (
     relocate,
     run_aga,
     run_conventional_ga,
-    trace_records,
 )
 from windlayout.power import FarmEvaluator
 from windlayout.scenario import build_grid, single_bin, uniform_directions
@@ -43,6 +43,19 @@ class TestChaosStream:
             with pytest.raises(ValueError):
                 ChaosStream(bad)
 
+    @pytest.mark.parametrize("seed, landing, nudge", [
+        (1.0 - 1e-14, 0.0, 1.00004e-9),  # maps next to the absorbing 0
+        (0.25 + 1e-14, 0.75, 1.00002e-9),  # maps next to the fixed point 0.75
+    ])
+    def test_nudged_off_zero_and_fixed_point(self, seed, landing, nudge):
+        assert ChaosStream(seed).next() - landing == pytest.approx(nudge, rel=1e-4)
+
+    def test_index_rejects_empty_range(self, stream):
+        state = stream.state
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            stream.index(0)
+        assert stream.state == state
+
     def test_long_run_mean_is_arcsine(self):
         s = ChaosStream(0.123)
         vals = [s.next() for _ in range(10**5)]
@@ -69,6 +82,17 @@ class TestChaosPosition:
     def test_rejects_full_exclusion(self, stream):
         with pytest.raises(ValueError):
             chaos_position(stream, 5, set(range(5)))
+
+    def test_scans_after_capped_redraws(self):
+        # this orbit draws index 1 of 2 for 21 steps: the 20 capped redraws
+        # all hit the excluded cell, and the scan starting at the 21st draw
+        # returns the free one
+        seed = 0.75 + 1e-7
+        reference = ChaosStream(seed)
+        assert [reference.index(2) for _ in range(21)] == [1] * 21
+        stream = ChaosStream(seed)
+        assert chaos_position(stream, 2, {1}) == 0
+        assert stream.state == reference.state
 
     def test_all_cells_reachable(self, stream):
         hits = {chaos_position(stream, 21) for _ in range(5000)}
@@ -173,7 +197,8 @@ class TestRelocateWorst:
         layout = Layout(tuple(range(grid.count)), grid.count)
         power = turbine_power(layout, grid, single_bin(0.0, 12.0), spec)
         state = stream.state
-        assert relocate(layout, power, stream) is layout
+        with pytest.raises(ValueError):
+            relocate(layout, power, stream)
         assert stream.state == state  # no draw without a free cell
 
     def test_moves_downstream_turbine(self, spec, stream):
@@ -231,6 +256,11 @@ class TestGAParams:
         with pytest.raises(ValueError):
             GAParams(chaos_seed=0.75)
 
+    @pytest.mark.parametrize("field", ["population", "relocations", "aliens", "max_generations"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ValueError, match="non-negative"):
+            GAParams(**{field: -1})
+
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, target):
         # a NaN target never compares true and silently drops the stop rule
@@ -239,6 +269,15 @@ class TestGAParams:
 
 
 class TestRunAga:
+    def test_full_farm_copies_parents(self, spec):
+        # no free cell: every relocation and mutant slot copies its parent
+        grid = build_grid(1000.0, 1)
+        params = GAParams(population=6, elites=1, relocations=2, aliens=1,
+                          max_generations=3)
+        best, trace = run_aga(params, grid, single_bin(0.0, 12.0), spec, grid.count)
+        assert len(trace) == 4
+        assert best.occupied == tuple(range(grid.count))
+
     def test_zero_target_stops_immediately(self, spec):
         grid = build_grid(2000.0, 4)
         params = GAParams(population=10, elites=2, relocations=3, aliens=2,

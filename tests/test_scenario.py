@@ -100,6 +100,14 @@ class TestScenarios:
         with pytest.raises(ValueError, match="non-negative"):
             WindScenario(((0.0, -1.0, 1.0),))
 
+    def test_rejects_empty_bins(self):
+        with pytest.raises(ValueError, match="at least one bin"):
+            WindScenario(())
+
+    def test_rejects_no_sectors(self):
+        with pytest.raises(ValueError, match="sectors must be >= 1"):
+            uniform_directions(12.0, 0)
+
 
 class TestWeibullRose:
     def test_cdf_identity_at_scale(self):
@@ -133,6 +141,16 @@ class TestWeibullRose:
     def test_rejects_empty_mass(self):
         with pytest.raises(ValueError):
             weibull_rose(2.1, 10.5, [100.0, 101.0, 102.0, 103.0])  # hmm: tiny but nonzero?
+
+    @pytest.mark.parametrize("shape, scale", [(0.0, 10.5), (2.1, -1.0)])
+    def test_rejects_non_positive_shape_or_scale(self, shape, scale):
+        with pytest.raises(ValueError, match="shape and scale must be positive"):
+            weibull_rose(shape, scale)
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.6), (1.5, -0.5)])
+    def test_rejects_bad_direction_weights(self, weights):
+        with pytest.raises(ValueError, match="direction weights"):
+            weibull_rose(direction_weights=weights)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -193,6 +211,11 @@ class TestUniformLayout:
         grid = build_grid(4000.0, 20)
         with pytest.raises(ValueError):
             uniform_layout(grid, 22)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_square_lattice_rejects_n_outside_the_grid(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= grid.count"):
+            uniform_layout(build_grid(100.0, 1), n, pattern="square_lattice")
 
     def test_rejects_unknown_pattern(self):
         with pytest.raises(ValueError):

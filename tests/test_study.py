@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 import windlayout.study as study
+from windlayout.cli import sweep_rows
 from windlayout.optimizer import GAParams, Layout, run_aga
 from windlayout.scenario import build_grid, single_bin, uniform_directions
 from windlayout.study import (
+    PolyFit,
     ShrinkSweepPoint,
+    budget_edge,
     compare_uniform_vs_aga,
     convergence_comparison,
     fit_poly3,
     power_drop_at_budget,
     repeat_seeds,
     shrink_sweep,
-    sweep_rows,
 )
 
 
@@ -104,6 +106,16 @@ class TestPowerDropAtBudget:
         with pytest.raises(ValueError):
             power_drop_at_budget(sweep, 1.0)
 
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ValueError, match="sweep is empty"):
+            budget_edge([], PolyFit((0.0, 0.0, 0.0, 1.0), 0.0), 0.05)
+
+    def test_nan_fit_leaves_no_feasible_point(self):
+        # a NaN predicted drop compares false against every budget
+        sweep = make_sweep([200.0, 170.0, 140.0, 110.0], [1.0, 0.99, 0.98, 0.97])
+        with pytest.raises(ValueError, match="no sweep point stays within"):
+            budget_edge(sweep, PolyFit((math.nan,) * 4, 0.0), 0.5)
+
 
 @pytest.fixture(scope="module")
 def small_sweep(spec):
@@ -140,6 +152,18 @@ class TestShrinkSweep:
         with pytest.raises(ValueError, match="spacing infeasible"):
             shrink_sweep([200.0, 100.0], single_bin(0.0, 12.0), spec, params,
                          repeats=1, cells=4, n_turbines=3, spacing_check="strict")
+
+    def test_rejects_no_repeats(self, spec):
+        params = GAParams(population=10, elites=2, relocations=3, aliens=2)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            shrink_sweep([200.0, 100.0], single_bin(0.0, 12.0), spec, params,
+                         repeats=0, cells=4, n_turbines=3)
+
+    def test_rejects_unknown_spacing_check(self, spec):
+        params = GAParams(population=10, elites=2, relocations=3, aliens=2)
+        with pytest.raises(ValueError, match="spacing_check must be"):
+            shrink_sweep([200.0, 100.0], single_bin(0.0, 12.0), spec, params,
+                         repeats=1, cells=4, n_turbines=3, spacing_check="loose")
 
     def test_rejects_non_descending(self, spec):
         params = GAParams(population=10, elites=2, relocations=3, aliens=2)
@@ -202,6 +226,20 @@ class TestComparisons:
                 best = [t.best_eta for t in pair[key]]
                 assert all(a <= b + 1e-15 for a, b in zip(best, best[1:]))
 
+    def test_convergence_comparison_needs_a_seed(self, spec):
+        params = GAParams(population=16, elites=2, relocations=6, aliens=2)
+        with pytest.raises(ValueError, match="at least one seed"):
+            convergence_comparison(build_grid(2000.0, 5), single_bin(0.0, 12.0), spec, params,
+                                   seeds=[], n_turbines=4)
+
     def test_repeat_seeds_deterministic(self):
         assert repeat_seeds(0.123, 4) == repeat_seeds(0.123, 4)
         assert all(0.0 < s < 1.0 for s in repeat_seeds(0.123, 10))
+
+    @pytest.mark.parametrize("base", [0.0, 1.0, -0.1])
+    def test_repeat_seeds_rejects_base_outside_open_unit_interval(self, base):
+        with pytest.raises(ValueError, match="base seed must lie in"):
+            repeat_seeds(base, 2)
+
+    def test_repeat_seeds_step_off_forbidden_seeds(self):
+        assert repeat_seeds(0.25, 1) == [0.250001]

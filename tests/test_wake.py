@@ -42,6 +42,10 @@ class TestTurbineSpec:
         with pytest.raises(ValueError):
             TurbineSpec(**kwargs)
 
+    def test_power_poly_must_be_a_quartic(self):
+        with pytest.raises(ValueError, match="5 quartic coefficients"):
+            TurbineSpec(power_poly=(21.6654, -113.1189, 201.1211, -55.0267))
+
 
 class TestDecayFactor:
     def test_onshore_value(self, onshore_spec):
