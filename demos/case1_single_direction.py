@@ -6,7 +6,7 @@ generations: at 12 m/s every wake loss costs power, so the optimizer spreads
 the turbines into mutually wake-free cells.
 """
 
-from windlayout import FarmEvaluator, GAParams, build_grid, run_aga, single_bin, TurbineSpec
+from windlayout import GAParams, build_grid, run_aga, single_bin, TurbineSpec
 
 spec = TurbineSpec()
 grid = build_grid(4000.0, 20)
@@ -19,9 +19,8 @@ print("generation  best eta   mean eta")
 for t in trace:
     print(f"{t.generation:>10}  {t.best_eta:.6f}  {t.mean_eta:.6f}")
 
-result = FarmEvaluator(grid.points, scenario, spec).evaluate(best.occupied)
-print(f"\nfinal efficiency: {result.efficiency:.4%}")
-print(f"total power:      {result.total_power / 1000.0:.2f} MW")
+print(f"\nfinal efficiency: {trace[-1].best_eta:.4%}")
+print(f"total power:      {trace[-1].best_power / 1000.0:.2f} MW")
 
 # occupancy map, one character per candidate point (row 0 = south edge)
 side = grid.cells + 1

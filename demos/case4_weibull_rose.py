@@ -7,7 +7,7 @@ while sub-rated bins still reward careful spacing.
 
 import math
 
-from windlayout import FarmEvaluator, GAParams, TurbineSpec, build_grid, run_aga, weibull_rose
+from windlayout import GAParams, TurbineSpec, build_grid, run_aga, weibull_rose
 
 spec = TurbineSpec()
 grid = build_grid(4000.0, 20)
@@ -26,7 +26,6 @@ print(f"mean speed {mean_speed:.2f} m/s "
       f"(analytic {10.5 * math.gamma(1 + 1 / 2.1):.2f} m/s)\n")
 
 params = GAParams(max_generations=200, chaos_seed=0.1357)
-best, trace = run_aga(params, grid, scenario, spec, n_turbines=16)
-result = FarmEvaluator(grid.points, scenario, spec).evaluate(best.occupied)
-print(f"best efficiency: {result.efficiency:.4%}")
-print(f"expected power:  {result.total_power / 1000.0:.2f} MW")
+_, trace = run_aga(params, grid, scenario, spec, n_turbines=16)
+print(f"best efficiency: {trace[-1].best_eta:.4%}")
+print(f"expected power:  {trace[-1].best_power / 1000.0:.2f} MW")

@@ -36,10 +36,8 @@ from .scenario import (
     weibull_rose,
 )
 from .study import (
-    ComparisonRecord,
     PolyFit,
     ShrinkSweepPoint,
-    compare_uniform_vs_aga,
     convergence_comparison,
     fit_poly3,
     power_drop_at_budget,

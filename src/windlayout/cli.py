@@ -34,7 +34,6 @@ from .scenario import (
 )
 from .study import (
     budget_edge,
-    compare_uniform_vs_aga,
     convergence_comparison,
     fit_poly3,
     repeat_seeds,
@@ -363,7 +362,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
 
 def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
     try:  # the uniform baseline must fit before any search runs
-        uniform_layout(cfg.grid, cfg.turbines, cfg.uniform_pattern)
+        uniform = uniform_layout(cfg.grid, cfg.turbines, cfg.uniform_pattern)
     except ValueError as exc:
         raise ConfigError(f"[model] uniform_pattern = {cfg.uniform_pattern}: {exc}, "
                           f"[grid] turbines = {cfg.turbines}") from exc
@@ -373,23 +372,23 @@ def _cmd_compare(cfg: RunConfig, out_dir: str, args) -> int:
         records = [{"seed": p["seed"], **rec} for p in pairs for rec in trace_records(p[loop])]
         write_trace_records(os.path.join(out_dir, f"{loop}_trace.jsonl"), records)
 
-    # pair 0 runs the base seed (repeat_seeds(s, r)[0] == s): its best layout
-    # is the optimized layout to compare
-    record = compare_uniform_vs_aga(cfg.grid, cfg.scenario, cfg.spec,
-                                    pairs[0]["aga"][-1].best_layout, cfg.uniform_pattern)
+    baseline = FarmEvaluator(cfg.grid.points, cfg.scenario, cfg.spec).evaluate(uniform.occupied)
+    # pair 0 runs the base seed (repeat_seeds(s, r)[0] == s): its final best
+    # layout, as its search scored it, is the optimized layout to compare
+    optimized = pairs[0]["aga"][-1]
     write_json(
         os.path.join(out_dir, "comparison.json"),
         {
-            "uniform_layout": list(record.uniform_occupied),
-            "uniform_power_kw": record.uniform_power,
-            "uniform_eta": record.uniform_eta,
-            "aga_layout": list(record.aga_occupied),
-            "aga_power_kw": record.aga_power,
-            "aga_eta": record.aga_eta,
+            "uniform_layout": list(uniform.occupied),
+            "uniform_power_kw": baseline.total_power,
+            "uniform_eta": baseline.efficiency,
+            "aga_layout": list(optimized.best_layout.occupied),
+            "aga_power_kw": optimized.best_power,
+            "aga_eta": optimized.best_eta,
         },
     )
     print(
-        f"compare: uniform eta={record.uniform_eta:.6f} vs optimized eta={record.aga_eta:.6f}"
+        f"compare: uniform eta={baseline.efficiency:.6f} vs optimized eta={optimized.best_eta:.6f}"
     )
     return 0
 

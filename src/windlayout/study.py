@@ -1,5 +1,5 @@
-"""Experiment harness: paired convergence traces, the area-shrinking sweep
-with its cubic fit, and the uniform-baseline comparison."""
+"""Experiment harness: paired convergence traces and the area-shrinking sweep
+with its cubic fit."""
 
 import math
 from dataclasses import dataclass, replace
@@ -7,8 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizer import FORBIDDEN_SEEDS, GAParams, run_aga, run_conventional_ga
-from .power import FarmEvaluator
-from .scenario import build_grid, uniform_layout
+from .scenario import build_grid
 
 
 @dataclass(frozen=True)
@@ -149,38 +148,6 @@ def budget_edge(sweep, fit: PolyFit, budget: float):
         raise ValueError("no sweep point stays within the power-drop budget")
     edge = min(feasible)
     return edge, 1.0 - (edge / base_edge) ** 2
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Uniform baseline vs optimized layout under one scenario."""
-
-    uniform_occupied: tuple
-    uniform_power: float
-    uniform_eta: float
-    aga_occupied: tuple
-    aga_power: float
-    aga_eta: float
-
-
-def compare_uniform_vs_aga(grid, scenario, spec, best, pattern: str = "line") -> ComparisonRecord:
-    """Score the evenly spaced baseline of ``best.n`` turbines and the
-    optimized layout ``best`` on one evaluator under the identical scenario;
-    runs no search."""
-    if best.m != grid.count:
-        raise ValueError(f"best layout spans {best.m} cells, the grid has {grid.count}")
-    evaluator = FarmEvaluator(grid.points, scenario, spec)
-    uniform = uniform_layout(grid, best.n, pattern)
-    uniform_result = evaluator.evaluate(uniform.occupied)
-    best_result = evaluator.evaluate(best.occupied)
-    return ComparisonRecord(
-        uniform.occupied,
-        uniform_result.total_power,
-        uniform_result.efficiency,
-        best.occupied,
-        best_result.total_power,
-        best_result.efficiency,
-    )
 
 
 def convergence_comparison(grid, scenario, spec, ga_params: GAParams, seeds, n_turbines: int = 16) -> list:

@@ -17,7 +17,7 @@ from windlayout.cli import (
     read_layout_csv,
     write_layout_csv,
 )
-from windlayout.optimizer import GAParams, Layout
+from windlayout.optimizer import GAParams, Layout, run_aga
 from windlayout.power import FarmEvaluator, cost_curve
 from windlayout.scenario import build_grid
 
@@ -365,6 +365,26 @@ repeats = 2
         first_seed = [rec for rec in records if rec["seed"] == records[0]["seed"]]
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["aga_layout"] == first_seed[-1]["best_layout"]
+
+    def test_compare_takes_the_optimized_score_from_the_search(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = FarmEvaluator.evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(FarmEvaluator, "evaluate", counted)
+        cfg = write_cfg(tmp_path, SMALL_GRID + FAST_GA + "\n[compare]\nseeds = 2\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1  # the uniform baseline only
+        run = load_config(cfg)
+        _, trace = run_aga(run.ga, run.grid, run.scenario, run.spec, run.turbines)
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["aga_eta"] == trace[-1].best_eta
+        assert comparison["aga_power_kw"] == trace[-1].best_power
+        assert comparison["aga_layout"] == list(trace[-1].best_layout.occupied)
 
     def test_compare_rejects_oversized_uniform_baseline_before_any_search(
         self, tmp_path, capsys, monkeypatch

@@ -139,8 +139,9 @@ class TestWeibullRose:
         assert abs(mean - analytic) / analytic < 0.02
 
     def test_rejects_empty_mass(self):
-        with pytest.raises(ValueError):
-            weibull_rose(2.1, 10.5, [100.0, 101.0, 102.0, 103.0])  # hmm: tiny but nonzero?
+        # weibull_cdf rounds to exactly 1.0 at these edges
+        with pytest.raises(ValueError, match="speed bins carry no Weibull mass"):
+            weibull_rose(2.1, 10.5, [100.0, 101.0, 102.0, 103.0])
 
     @pytest.mark.parametrize("shape, scale", [(0.0, 10.5), (2.1, -1.0)])
     def test_rejects_non_positive_shape_or_scale(self, shape, scale):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import windlayout.study as study
 from windlayout.cli import sweep_rows
-from windlayout.optimizer import GAParams, Layout, run_aga
+from windlayout.optimizer import GAParams
 from windlayout.scenario import build_grid, single_bin, uniform_directions
 from windlayout.study import (
     PolyFit,
     ShrinkSweepPoint,
     budget_edge,
-    compare_uniform_vs_aga,
     convergence_comparison,
     fit_poly3,
     power_drop_at_budget,
@@ -183,37 +181,6 @@ class TestShrinkSweep:
 
 
 class TestComparisons:
-    def test_wake_free_instance_ties(self, spec):
-        grid = build_grid(1000.0, 1)  # 4 corners
-        params = GAParams(population=6, elites=1, relocations=2, aliens=1,
-                          max_generations=3, target_efficiency=1.0)
-        best, _ = run_aga(params, grid, single_bin(0.0, 12.0), spec, 1)
-        record = compare_uniform_vs_aga(grid, single_bin(0.0, 12.0), spec, best)
-        assert record.uniform_eta == pytest.approx(record.aga_eta, rel=1e-12)
-
-    def test_aga_beats_uniform_line_on_multidirection(self, spec, default_grid):
-        params = GAParams(max_generations=40, chaos_seed=0.6203)
-        best, _ = run_aga(params, default_grid, uniform_directions(12.0, 12), spec, 16)
-        record = compare_uniform_vs_aga(default_grid, uniform_directions(12.0, 12), spec, best)
-        assert record.aga_eta >= record.uniform_eta
-        assert record.aga_power >= record.uniform_power
-
-    def test_compare_runs_no_search(self, spec, monkeypatch):
-        # the optimized layout comes in; only the two evaluations happen here
-        def no_search(*args, **kwargs):
-            raise AssertionError("compare_uniform_vs_aga ran a search")
-
-        monkeypatch.setattr(study, "run_aga", no_search)
-        monkeypatch.setattr(study, "run_conventional_ga", no_search)
-        grid = build_grid(2000.0, 5)
-        best = Layout((0, 5, 30, 35), grid.count)
-        record = compare_uniform_vs_aga(grid, uniform_directions(12.0, 4), spec, best,
-                                        pattern="square_lattice")
-        assert record.aga_occupied == best.occupied
-        assert len(record.uniform_occupied) == best.n
-        with pytest.raises(ValueError, match="36 cells, the grid has 25"):
-            compare_uniform_vs_aga(build_grid(2000.0, 4), uniform_directions(12.0, 4), spec, best)
-
     def test_convergence_comparison_shape(self, spec):
         grid = build_grid(2000.0, 5)
         params = GAParams(population=16, elites=2, relocations=6, aliens=2,
