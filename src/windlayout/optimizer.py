@@ -60,8 +60,11 @@ def chaos_position(stream: ChaosStream, m: int, exclude=frozenset()) -> int:
     """
     if len(exclude) >= m:
         raise ValueError("exclude covers every cell; no free index exists")
+    draw = stream.next
     for _ in range(10 * m):
-        idx = stream.index(m)
+        idx = int(draw() * m + 0.5)  # stream.index(m) without its call overhead
+        if idx >= m:
+            idx = m - 1
         if idx not in exclude:
             return idx
     start = stream.index(m)
@@ -74,13 +77,23 @@ def chaos_position(stream: ChaosStream, m: int, exclude=frozenset()) -> int:
 
 @dataclass(frozen=True)
 class Layout:
-    """A fixed-cardinality individual: occupied cell indices over m cells."""
+    """A fixed-cardinality individual: occupied cell indices over m cells.
+
+    A layout built by a caller is checked: integer (not bool), distinct
+    indices in [0, m). Layouts the search breeds are only sorted
+    (``_bred``), because they pass these checks by construction: every cell
+    they gain comes from ``chaos_position``, which draws an int in [0, m)
+    outside a given set, and a moved child swaps one cell of a valid parent
+    for a cell drawn outside the parent's whole occupancy.
+    """
 
     occupied: tuple
     m: int
 
     def __post_init__(self):
         try:
+            if any(isinstance(i, bool) for i in self.occupied):
+                raise TypeError  # an int subclass, but no cell index
             occ = tuple(sorted(map(operator.index, self.occupied)))
         except TypeError:
             raise ValueError("occupied indices must be integers") from None
@@ -93,6 +106,15 @@ class Layout:
     @property
     def n(self) -> int:
         return len(self.occupied)
+
+    @classmethod
+    def _bred(cls, cells, m: int) -> "Layout":
+        """The layout of cells already known distinct and in [0, m), sorted
+        but not re-checked."""
+        layout = object.__new__(cls)
+        object.__setattr__(layout, "occupied", tuple(sorted(cells)))
+        object.__setattr__(layout, "m", m)
+        return layout
 
 
 @dataclass(frozen=True)
@@ -138,7 +160,7 @@ def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
     occupied: set = set()
     while len(occupied) < n:
         occupied.add(chaos_position(stream, m, occupied))
-    return Layout(tuple(occupied), m)
+    return Layout._bred(occupied, m)
 
 
 def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream) -> list:
@@ -151,7 +173,7 @@ def _moved(layout: Layout, k: int, stream: ChaosStream) -> Layout:
     excludes the whole current occupancy."""
     occupied = layout.occupied
     fresh = chaos_position(stream, layout.m, set(occupied))
-    return Layout(occupied[:k] + occupied[k + 1 :] + (fresh,), layout.m)
+    return Layout._bred(occupied[:k] + occupied[k + 1 :] + (fresh,), layout.m)
 
 
 def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:

@@ -94,6 +94,17 @@ class TestChaosPosition:
         assert chaos_position(stream, 2, {1}) == 0
         assert stream.state == reference.state
 
+    @pytest.mark.parametrize("seed", [1.0 - 1e-14, 0.25 + 1e-14, 0.5 - 1e-16, 0.75 + 1e-7])
+    @pytest.mark.parametrize("m", [1, 2, 25, 441])
+    def test_draws_like_index_when_nothing_is_excluded(self, seed, m):
+        # the rounding inlined in chaos_position must be index's, draw for draw
+        stream, reference = ChaosStream(seed), ChaosStream(seed)
+        got, want = [], []
+        for _ in range(10**4):
+            got.append((chaos_position(stream, m), stream.state))
+            want.append((reference.index(m), reference.state))
+        assert got == want
+
     def test_all_cells_reachable(self, stream):
         hits = {chaos_position(stream, 21) for _ in range(5000)}
         assert hits == set(range(21))
@@ -115,7 +126,7 @@ class TestLayout:
 
     def test_rejects_non_integral_indices(self):
         # truncating would turn (0.7, 5.9, "3") into the plausible (0, 3, 5)
-        for bad in ((0.7, 5.9, "3"), (0.0, 1), ("3",), (np.float64(2.0),)):
+        for bad in ((0.7, 5.9, "3"), (0.0, 1), ("3",), (np.float64(2.0),), (True, 2)):
             with pytest.raises(ValueError, match="integers"):
                 Layout(bad, 10)
         assert Layout((np.int64(5), np.int32(1), 3), 10).occupied == (1, 3, 5)

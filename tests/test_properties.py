@@ -1,9 +1,10 @@
 """Property tests on random turbines, wind scenarios (ragged and zero-weight
 bins included), layouts and both deficit numerators: the batched evaluator
 against the straight-line oracle, 360-degree periodicity of the directions
-and invariance under reordering a row; and, on random tiny instances, the
-search: elitism, every generation's best re-scored by the oracle, and the
-conventional GA as a population split of the adapted loop."""
+and invariance under reordering a row; children bred without re-checks
+pass those checks; and, on random tiny instances, the search: elitism,
+every generation's best re-scored by the oracle, and the conventional GA as
+a population split of the adapted loop."""
 
 import math
 from dataclasses import replace
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 from windlayout.cli import trace_records
 from windlayout.optimizer import (
     FORBIDDEN_SEEDS,
+    ChaosStream,
     GAParams,
+    Layout,
+    chaotic_layout,
+    mutate_twice,
+    relocate,
     run_aga,
     run_conventional_ga,
 )
@@ -128,6 +134,32 @@ def test_permuting_a_row_permutes_its_power(data):
     # eta exceeds 1 where a wake pulls a turbine below cut-out; bound the
     # reordered sum by 1e-15 of max(1, eta)
     assert np.all(np.abs(got_etas - etas) <= 1e-15 * np.maximum(1.0, etas))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bred_children_pass_the_checks_they_skip(data):
+    m = data.draw(st.integers(2, 60))
+    n = data.draw(st.integers(1, m))
+    stream = ChaosStream(data.draw(st.floats(0.01, 0.99).filter(lambda x: x not in FORBIDDEN_SEEDS)))
+
+    def assert_checked(child):
+        assert child == Layout(child.occupied, child.m)
+        assert child.m == m and child.n == n
+        assert all(type(i) is int for i in child.occupied)
+        assert list(child.occupied) == sorted(set(child.occupied))
+        assert 0 <= child.occupied[0] and child.occupied[-1] < m
+
+    parent = chaotic_layout(stream, m, n)
+    assert_checked(parent)
+    if n == m:
+        return
+    for _ in range(4):
+        power = data.draw(st.lists(st.floats(0.0, 5000.0), min_size=n, max_size=n))
+        for child in (relocate(parent, power, stream), mutate_twice(parent, stream)):
+            assert_checked(child)
+            assert len(set(child.occupied) ^ set(parent.occupied)) == 2
+        parent = child
 
 
 def searches(data):
