@@ -59,22 +59,29 @@ def straight_line_eval(positions, scenario, spec) -> EvaluationResult:
     root = math.sqrt(1.0 - spec.thrust_coefficient)
     numer = {"standard": 1.0 - root, "paper_literal": 1.0 + root}[spec.deficit_numerator]
 
+    # per direction, each turbine's combined deficit; it does not depend on
+    # the wind speed, so every speed bin of the direction reuses it
+    combined = {}
     speed_exp = [0.0] * n
     power_exp = [0.0] * n
     for theta, v, w in scenario.bins:
-        rotated = [rotate_frame(p, theta) for p in pts]
+        if theta not in combined:
+            rotated = [rotate_frame(p, theta) for p in pts]
+            combined[theta] = []
+            for i in range(n):
+                sq_sum = 0.0
+                for j in range(n):
+                    if i == j:
+                        continue
+                    d = rotated[j].y - rotated[i].y
+                    if d <= 1e-6:  # strictly-downwind rule, same guard band
+                        continue
+                    area = circle_overlap_area(R + k * d, R, abs(rotated[i].x - rotated[j].x))
+                    deficit = (numer / (1.0 + k * d / R) ** 2) * (area / rotor_area)
+                    sq_sum += deficit * deficit
+                combined[theta].append(min(math.sqrt(sq_sum), 1.0))
         for i in range(n):
-            sq_sum = 0.0
-            for j in range(n):
-                if i == j:
-                    continue
-                d = rotated[j].y - rotated[i].y
-                if d <= 1e-6:  # strictly-downwind rule, same guard band
-                    continue
-                area = circle_overlap_area(R + k * d, R, abs(rotated[i].x - rotated[j].x))
-                deficit = (numer / (1.0 + k * d / R) ** 2) * (area / rotor_area)
-                sq_sum += deficit * deficit
-            u = v * (1.0 - min(math.sqrt(sq_sum), 1.0))
+            u = v * (1.0 - combined[theta][i])
             speed_exp[i] += w * u
             power_exp[i] += w * _power_kw(spec, u)
 

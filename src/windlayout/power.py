@@ -48,8 +48,9 @@ class EvaluationResult:
     efficiency: float
 
 
-# Upper bound on the elements of one (T, P, n, n) deficit gather; larger
-# batches are scored in row chunks so memory stays bounded as n grows.
+# Upper bound on the elements of one deficit gather. Batches are scored in
+# row chunks, and a row whose (T, n, n) gather alone exceeds it in blocks of
+# waked turbines, so memory stays bounded as P and n grow.
 _GATHER_ELEMENTS = 1 << 22
 # The same bound for the (T, K, bins) arrays that classify the table's pieces.
 _TABLE_ELEMENTS = 1 << 20
@@ -167,14 +168,21 @@ class FarmEvaluator:
       cells with an integer edge, so the table does not grow with M**2;
     - per direction, the exact expected power of one turbine as a piecewise
       quartic in its speed ratio x = 1 - d (see ``_expected_power_table``),
-      so the speed bins collapse into one lookup and a Horner pass.
+      so the speed bins collapse into one lookup and a Horner pass. The
+      (T, K, 5) coefficients are kept as a flat (T * K, 5) array;
+    - for that lookup, the sorted union of every direction's piece starts
+      and a (T, |union| + 1) rank table: entry [t, j] is the flat row of
+      direction t's piece that holds every ratio falling in the union's span
+      j. Each direction's starts are a subset of the union, so one
+      ``searchsorted`` into the union finds each ratio's piece exactly.
 
     ``evaluate_batch`` scores a (P, n) block of index rows: each pair's
     offset key from two small per-axis maps, one (T, P, n, n) gather from the
-    table, the root-sum-square deficit, one table lookup per direction and
-    Horner evaluation; ``evaluate`` is a batch of one that also reports the
-    expected speeds. Ragged scenarios (a different number of speed bins per
-    direction) are padded with zero-weight bins. The wake-free power
+    table, the root-sum-square deficit, one ``searchsorted`` of all (T, P, n)
+    ratios into the union, two ``np.take`` calls (rank, then coefficients)
+    and Horner evaluation; ``evaluate`` is a batch of one that also reports
+    the expected speeds. Ragged scenarios (a different number of speed bins
+    per direction) are padded with zero-weight bins. The wake-free power
     ``unit_power`` comes from the same table, so a wake-free turbine scores
     exactly ``unit_power``.
     """
@@ -209,7 +217,19 @@ class FarmEvaluator:
         for t, pairs in enumerate(by_theta.values()):
             speeds[t, : len(pairs)], weights[t, : len(pairs)] = zip(*pairs)
         self._mean_speed = (weights * speeds).sum(axis=1)
-        self._starts, self._coef = _expected_power_table(speeds, weights, spec)
+        self._starts, coef = _expected_power_table(speeds, weights, spec)
+        K = self._starts.shape[1]
+        self._coef = coef.reshape(T * K, 5)
+        # rank[t, j]: the row in _coef of direction t's piece that holds every
+        # ratio r with searchsorted(union, r, "right") == j. No start of t
+        # falls strictly inside such a span, so the piece is the one holding
+        # the span's lower end. Column 0 (r below every start) takes piece -1,
+        # the last, as numpy indexing with a per-direction search would.
+        self._union = np.unique(self._starts)
+        edges = np.concatenate([[-np.inf], self._union])
+        rank = np.stack([np.searchsorted(s, edges, side="right") - 1 for s in self._starts]) % K
+        self._rank = rank + K * np.arange(T)[:, None]
+        self._rank_offset = len(edges) * np.arange(T)[:, None, None]
 
         # wake-free expected power of one turbine, the per-turbine efficiency
         # denominator
@@ -232,10 +252,9 @@ class FarmEvaluator:
 
     def _expected_power(self, ratio) -> np.ndarray:
         """(P, n) expected power, kW, from (T, P, n) speed ratios 1 - d."""
-        piece = np.stack([
-            np.searchsorted(starts, r, side="right") - 1 for starts, r in zip(self._starts, ratio)
-        ])
-        c = self._coef[np.arange(len(ratio))[:, None, None], piece]  # (T, P, n, 5)
+        span = np.searchsorted(self._union, ratio, side="right")
+        span += self._rank_offset
+        c = np.take(self._coef, np.take(self._rank, span), axis=0)  # (T, P, n, 5)
         g = c[..., 0]
         for k in range(1, 5):
             g = g * ratio + c[..., k]
@@ -244,18 +263,28 @@ class FarmEvaluator:
         # mirror-image turbines tie exactly
         return sum(np.sort(g, axis=0))
 
-    def _pair_keys(self, rows) -> np.ndarray:
-        """(P, n, n) table columns of the pairs of index rows: entry [p, a, b]
-        keys the offset from turbine rows[p, a] to turbine rows[p, b]."""
+    def _pair_keys(self, rows, waked=slice(None)) -> np.ndarray:
+        """(P, a, n) table columns of the pairs of index rows: entry [p, a, b]
+        keys the offset from turbine rows[p, waked][a] to turbine rows[p, b]."""
         ix, iy = self._ix[rows], self._iy[rows]
         # flat indices into the C-ordered (N, N) maps, which np.take reads flat
-        return (np.take(self._x_key, ix[:, :, None] * len(self._x_key) + ix[:, None, :])
-                + np.take(self._y_pair, iy[:, :, None] * len(self._y_pair) + iy[:, None, :]))
+        return (np.take(self._x_key, ix[:, waked, None] * len(self._x_key) + ix[:, None, :])
+                + np.take(self._y_pair, iy[:, waked, None] * len(self._y_pair) + iy[:, None, :]))
 
     def _score(self, rows):
-        """Speed ratios (T, P, n) and expected power (P, n) of checked rows."""
-        sub = np.take(self._table, self._pair_keys(rows), axis=1)  # (T, P, n, n)
-        ratio = 1.0 - np.minimum(np.sqrt(sub.sum(axis=3)), 1.0)
+        """Speed ratios (T, P, n) and expected power (P, n) of checked rows.
+
+        The (T, P, n, n) deficit gather runs in blocks of waked turbines when
+        it exceeds ``_GATHER_ELEMENTS``; each turbine's sum reads the same
+        deficits in the same order either way, so no bit moves."""
+        T, (P, n) = len(self._table), rows.shape
+        waked = max(1, _GATHER_ELEMENTS // (T * P * n))
+        blocks = []
+        for a in range(0, n, waked):
+            sub = np.take(self._table, self._pair_keys(rows, slice(a, a + waked)), axis=1)
+            blocks.append(1.0 - np.minimum(np.sqrt(sub.sum(axis=3)), 1.0))
+            del sub  # freed before the next block's gather is taken
+        ratio = np.concatenate(blocks, axis=2)
         return ratio, self._expected_power(ratio)
 
     def evaluate_batch(self, rows):

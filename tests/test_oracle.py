@@ -6,7 +6,7 @@ import pytest
 
 from windlayout.oracle import exhaustive_best, mc_overlap, straight_line_eval
 from windlayout.power import FarmEvaluator, power_values
-from windlayout.scenario import build_grid, single_bin, uniform_directions
+from windlayout.scenario import WindScenario, build_grid, single_bin, uniform_directions
 
 
 class TestMcOverlap:
@@ -60,6 +60,21 @@ class TestStraightLineEval:
         fast = FarmEvaluator(pos, scenario, spec).evaluate()
         slow = straight_line_eval(pos, scenario, spec)
         assert fast.total_power == pytest.approx(slow.total_power, rel=1e-9)
+
+
+    def test_directions_repeated_across_bins(self, spec):
+        # each bin scores as it does alone, accumulated in bin order
+        pos = build_grid(900.0, 3).points[[0, 1, 5, 6, 10, 15]]
+        bins = ((0.0, 10.0, 0.1), (90.0, 10.0, 0.2), (0.0, 12.0, 0.3), (90.0, 12.0, 0.4))
+        got = straight_line_eval(pos, WindScenario(bins), spec)
+        speed, power = np.zeros(len(pos)), np.zeros(len(pos))
+        for theta, v, w in bins:
+            alone = straight_line_eval(pos, single_bin(theta, v), spec)
+            speed += w * alone.per_turbine_speed
+            power += w * alone.per_turbine_power
+        assert np.all(got.per_turbine_speed == speed)
+        assert np.all(got.per_turbine_power == power)
+        assert got.per_turbine_speed.min() < 10.0  # some turbine is waked
 
 
 class TestExhaustiveBest:

@@ -336,6 +336,29 @@ class TestExpectedPowerTable:
         got = evaluator._expected_power(ratio[:, None, :])[0]
         assert np.allclose(got, pointwise_power(scenario, spec, ratio), rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [CUT_SPEEDS, ZERO_WEIGHTS, case_scenario("case4"),
+         weibull_rose(2.1, 10.5, [k * 0.25 for k in range(122)])],
+        ids=["cut-speeds", "zero-weights", "case4", "weibull-121-bins"],
+    )
+    def test_union_lookup_is_bitwise_the_per_direction_lookup(self, spec, rng, scenario):
+        # reference: one searchsorted per direction into its own starts, a
+        # fancy index into the (T, K, 5) coefficients, Horner, sorted sum
+        evaluator = FarmEvaluator([(0.0, 0.0)], scenario, spec)
+        starts = evaluator._starts
+        T, K = starts.shape
+        coef = evaluator._coef.reshape(T, K, 5)
+        ratio = np.concatenate([ulps_around(starts[starts <= 1.0]), [0.0, 1.0],
+                                rng.uniform(0.0, 1.0, 4000)])
+        ratio = np.broadcast_to(ratio, (T, 1, len(ratio)))
+        piece = np.stack([np.searchsorted(s, r, side="right") - 1 for s, r in zip(starts, ratio)])
+        c = coef[np.arange(T)[:, None, None], piece]
+        g = c[..., 0]
+        for k in range(1, 5):
+            g = g * ratio + c[..., k]
+        assert np.array_equal(evaluator._expected_power(ratio), sum(np.sort(g, axis=0)))
+
     def test_ratios_one_minus_d_around_the_cuts(self, spec):
         # a deficit a few ulps either side of 1 - c / v for each cut c
         evaluator = FarmEvaluator([(0.0, 0.0)], CUT_SPEEDS, spec)
@@ -407,6 +430,35 @@ class TestEvaluateBatch:
         chunked = evaluator.evaluate_batch(rows)
         assert np.array_equal(whole[0], chunked[0])
         assert np.array_equal(whole[1], chunked[1])
+
+    def test_one_row_gather_is_bounded(self, spec):
+        # one row of 961 turbines under 12 directions gathers 12 * 961**2
+        # deficits (88 MB) unless it is split into blocks of waked turbines
+        grid = build_grid(6000.0, 30)
+        evaluator = FarmEvaluator(grid.points, case_scenario("case3"), spec)
+        tracemalloc.start()
+        try:
+            evaluator.evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_waked_blocks_match_whole(self, spec, default_grid, rng, monkeypatch):
+        evaluator = FarmEvaluator(default_grid.points, case_scenario("case4"), spec)
+        idx = rng.choice(default_grid.count, size=40, replace=False)
+        rows = np.array([rng.choice(default_grid.count, size=8, replace=False) for _ in range(25)])
+        whole, whole_batch = evaluator.evaluate(idx), evaluator.evaluate_batch(rows)
+        # blocks of 7 of 40 waked turbines, and of 3 of 8 in one-row chunks
+        monkeypatch.setattr(power_module, "_GATHER_ELEMENTS", 12 * 40 * 7)
+        split = evaluator.evaluate(idx)
+        monkeypatch.setattr(power_module, "_GATHER_ELEMENTS", 12 * 8 * 3)
+        split_batch = evaluator.evaluate_batch(rows)
+        assert np.array_equal(whole.per_turbine_power, split.per_turbine_power)
+        assert np.array_equal(whole.per_turbine_speed, split.per_turbine_speed)
+        assert whole.efficiency == split.efficiency
+        assert np.array_equal(whole_batch[0], split_batch[0])
+        assert np.array_equal(whole_batch[1], split_batch[1])
 
     def test_wake_free_turbine_scores_unit_power_exactly(self, spec):
         # mirror-image and isolated turbines tie exactly, whatever the batch
