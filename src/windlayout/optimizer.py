@@ -60,11 +60,8 @@ def chaos_position(stream: ChaosStream, m: int, exclude=frozenset()) -> int:
     """
     if len(exclude) >= m:
         raise ValueError("exclude covers every cell; no free index exists")
-    draw = stream.next
     for _ in range(10 * m):
-        idx = int(draw() * m + 0.5)  # stream.index(m) without its call overhead
-        if idx >= m:
-            idx = m - 1
+        idx = stream.index(m)
         if idx not in exclude:
             return idx
     start = stream.index(m)
@@ -79,12 +76,9 @@ def chaos_position(stream: ChaosStream, m: int, exclude=frozenset()) -> int:
 class Layout:
     """A fixed-cardinality individual: occupied cell indices over m cells.
 
-    A layout built by a caller is checked: integer (not bool), distinct
-    indices in [0, m). Layouts the search breeds are only sorted
-    (``_bred``), because they pass these checks by construction: every cell
-    they gain comes from ``chaos_position``, which draws an int in [0, m)
-    outside a given set, and a moved child swaps one cell of a valid parent
-    for a cell drawn outside the parent's whole occupancy.
+    Every layout is checked on construction: integer (not bool), distinct
+    indices in [0, m), stored sorted. The search breeds bare ``occupied``
+    tuples and wraps only the layouts it reports.
     """
 
     occupied: tuple
@@ -106,15 +100,6 @@ class Layout:
     @property
     def n(self) -> int:
         return len(self.occupied)
-
-    @classmethod
-    def _bred(cls, cells, m: int) -> "Layout":
-        """The layout of cells already known distinct and in [0, m), sorted
-        but not re-checked."""
-        layout = object.__new__(cls)
-        object.__setattr__(layout, "occupied", tuple(sorted(cells)))
-        object.__setattr__(layout, "m", m)
-        return layout
 
 
 @dataclass(frozen=True)
@@ -153,27 +138,43 @@ class GenerationTrace:
     best_power: float  # kW, expected total power of best_layout; not in trace.jsonl
 
 
-def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
-    """Fresh individual with n distinct chaotically drawn cells."""
+# The search breeds sorted ``occupied`` tuples, which pass Layout's checks by
+# construction: every cell they gain comes from ``chaos_position``, which
+# draws an int in [0, m) outside a given set, and a moved child swaps one cell
+# of a valid parent for a cell drawn outside the parent's whole occupancy.
+def _chaotic_cells(stream: ChaosStream, m: int, n: int) -> tuple:
     if n > m:
         raise ValueError("cannot place more turbines than cells")
     occupied: set = set()
     while len(occupied) < n:
         occupied.add(chaos_position(stream, m, occupied))
-    return Layout._bred(occupied, m)
+    return tuple(sorted(occupied))
+
+
+def _moved(occupied: tuple, m: int, k: int, stream: ChaosStream) -> tuple:
+    """``occupied`` with cell k moved to a chaotic draw outside all of it."""
+    fresh = chaos_position(stream, m, set(occupied))
+    return tuple(sorted(occupied[:k] + occupied[k + 1 :] + (fresh,)))
+
+
+def _relocated(occupied: tuple, m: int, power, stream: ChaosStream) -> tuple:
+    return _moved(occupied, m, int(np.argmin(power)), stream)
+
+
+def _mutated(occupied: tuple, m: int, stream: ChaosStream) -> tuple:
+    if not 0 < len(occupied) < m:
+        raise ValueError("mutation needs at least one occupied and one free cell")
+    return _moved(occupied, m, stream.index(len(occupied)), stream)
+
+
+def chaotic_layout(stream: ChaosStream, m: int, n: int) -> Layout:
+    """Fresh individual with n distinct chaotically drawn cells."""
+    return Layout(_chaotic_cells(stream, m, n), m)
 
 
 def initialize_population(params: GAParams, m: int, n: int, stream: ChaosStream) -> list:
     """Generate the initial population of fixed-cardinality layouts."""
     return [chaotic_layout(stream, m, n) for _ in range(params.population)]
-
-
-def _moved(layout: Layout, k: int, stream: ChaosStream) -> Layout:
-    """The layout with its k-th occupied cell replaced by a chaotic draw that
-    excludes the whole current occupancy."""
-    occupied = layout.occupied
-    fresh = chaos_position(stream, layout.m, set(occupied))
-    return Layout._bred(occupied[:k] + occupied[k + 1 :] + (fresh,), layout.m)
 
 
 def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
@@ -184,7 +185,7 @@ def relocate(layout: Layout, power, stream: ChaosStream) -> Layout:
     excludes the entire current occupancy, so the move is a real relocation;
     a full farm (n == m) has no free cell and raises before any draw.
     """
-    return _moved(layout, int(np.argmin(power)), stream)
+    return Layout(_relocated(layout.occupied, layout.m, power, stream), layout.m)
 
 
 def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
@@ -193,9 +194,7 @@ def mutate_twice(layout: Layout, stream: ChaosStream) -> Layout:
     The added cell is free: it excludes the full original occupancy, so the
     result always differs from the input in exactly two bits.
     """
-    if not 0 < layout.n < layout.m:
-        raise ValueError("mutation needs at least one occupied and one free cell")
-    return _moved(layout, stream.index(layout.n), stream)
+    return Layout(_mutated(layout.occupied, layout.m, stream), layout.m)
 
 
 def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
@@ -211,25 +210,25 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
     movable = n_turbines < m
     stream = ChaosStream(params.chaos_seed)
     # drawn first, so an overfull layout fails before any table is built
-    population = initialize_population(params, m, n_turbines, stream)
+    population = [_chaotic_cells(stream, m, n_turbines) for _ in range(params.population)]
     evaluator = FarmEvaluator(grid.points, scenario, spec)
     cache: dict = {}  # occupied -> (efficiency, expected power per turbine)
 
     trace = []
     generation = 0
     while True:
-        fresh = list(dict.fromkeys(
-            layout.occupied for layout in population if layout.occupied not in cache
-        ))
+        fresh = list(dict.fromkeys(cells for cells in population if cells not in cache))
         if fresh:
             etas, powers = evaluator.evaluate_batch(fresh)
             cache.update(zip(fresh, zip(etas.tolist(), powers)))
-        effs = np.array([cache[layout.occupied][0] for layout in population])
+        effs = np.array([cache[cells][0] for cells in population])
         order = np.argsort(-effs, kind="stable")
         best = population[order[0]]
         best_eta = float(effs[order[0]])
-        best_power = float(cache[best.occupied][1].sum())
-        trace.append(GenerationTrace(generation, best_eta, float(effs.mean()), best, best_power))
+        best_power = float(cache[best][1].sum())
+        trace.append(
+            GenerationTrace(generation, best_eta, float(effs.mean()), Layout(best, m), best_power)
+        )
 
         target = params.target_efficiency
         if target is not None and best_eta >= target - 1e-12:
@@ -241,12 +240,12 @@ def run_aga(params: GAParams, grid, scenario, spec, n_turbines: int):
         nxt = list(elites)
         for i in range(params.relocations):
             parent = elites[i % len(elites)]
-            nxt.append(relocate(parent, cache[parent.occupied][1], stream) if movable else parent)
+            nxt.append(_relocated(parent, m, cache[parent][1], stream) if movable else parent)
         for _ in range(params.aliens):
-            nxt.append(chaotic_layout(stream, m, n_turbines))
+            nxt.append(_chaotic_cells(stream, m, n_turbines))
         for _ in range(params.population - len(nxt)):
             parent = elites[stream.index(len(elites))]
-            nxt.append(mutate_twice(parent, stream) if movable else parent)
+            nxt.append(_mutated(parent, m, stream) if movable else parent)
         population = nxt
         generation += 1
 

@@ -48,9 +48,10 @@ class EvaluationResult:
     efficiency: float
 
 
-# Upper bound on the elements of one deficit gather. Batches are scored in
-# row chunks, and a row whose (T, n, n) gather alone exceeds it in blocks of
-# waked turbines, so memory stays bounded as P and n grow.
+# Upper bound on the elements of one gather. A batch is scored in row chunks
+# of T * n * max(n, 10) elements a row, which covers the (T, P, n, n) deficit
+# and, at small n, the (T, P, n, 5) coefficient gathers; a row whose deficit
+# gather alone exceeds it runs in blocks of waked turbines.
 _GATHER_ELEMENTS = 1 << 22
 # The same bound for the (T, K, bins) arrays that classify the table's pieces.
 _TABLE_ELEMENTS = 1 << 20
@@ -295,7 +296,7 @@ class FarmEvaluator:
         """
         rows = self._rows(rows)
         n = rows.shape[1]
-        step = max(1, _GATHER_ELEMENTS // (len(self._table) * n * n))
+        step = max(1, _GATHER_ELEMENTS // (len(self._table) * n * max(n, 10)))
         power = np.concatenate(
             [self._score(rows[lo : lo + step])[1] for lo in range(0, len(rows), step)]
         )

@@ -97,7 +97,7 @@ class TestChaosPosition:
     @pytest.mark.parametrize("seed", [1.0 - 1e-14, 0.25 + 1e-14, 0.5 - 1e-16, 0.75 + 1e-7])
     @pytest.mark.parametrize("m", [1, 2, 25, 441])
     def test_draws_like_index_when_nothing_is_excluded(self, seed, m):
-        # the rounding inlined in chaos_position must be index's, draw for draw
+        # with nothing excluded, chaos_position is index, draw for draw
         stream, reference = ChaosStream(seed), ChaosStream(seed)
         got, want = [], []
         for _ in range(10**4):

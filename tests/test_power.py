@@ -422,14 +422,32 @@ class TestEvaluateBatch:
                 assert eta == one.efficiency
                 assert np.array_equal(power, one.per_turbine_power)
 
-    def test_chunked_batch_matches_whole(self, spec, default_grid, rng, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_chunked_batch_matches_whole(self, spec, default_grid, rng, monkeypatch, n):
         evaluator = FarmEvaluator(default_grid.points, case_scenario("case3"), spec)
-        rows = np.array([rng.choice(default_grid.count, size=8, replace=False) for _ in range(25)])
+        rows = np.array([rng.choice(default_grid.count, size=n, replace=False) for _ in range(25)])
         whole = evaluator.evaluate_batch(rows)
-        monkeypatch.setattr(power_module, "_GATHER_ELEMENTS", 12 * 8 * 8 * 3)
+        # chunks of 3 rows: 9 of them, the last one short
+        monkeypatch.setattr(power_module, "_GATHER_ELEMENTS", 12 * n * max(n, 10) * 3)
         chunked = evaluator.evaluate_batch(rows)
         assert np.array_equal(whole[0], chunked[0])
         assert np.array_equal(whole[1], chunked[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_small_rows_batch_is_bounded(self, spec, default_grid, rng, n):
+        # chunks sized by the (T, P, n, n) deficit gather alone let the
+        # (T, P, n, 5) coefficient gather and the int64 index arrays of
+        # 100,000 rows peak at 87-169 MB under case 4; bounded, 33-35 MB
+        evaluator = FarmEvaluator(default_grid.points, case_scenario("case4"), spec)
+        starts = rng.integers(0, default_grid.count, size=(100_000, 1))
+        rows = (starts + 7 * np.arange(n)) % default_grid.count
+        tracemalloc.start()
+        try:
+            evaluator.evaluate_batch(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_one_row_gather_is_bounded(self, spec):
         # one row of 961 turbines under 12 directions gathers 12 * 961**2

@@ -1,10 +1,10 @@
 """Property tests on random turbines, wind scenarios (ragged and zero-weight
 bins included), layouts and both deficit numerators: the batched evaluator
 against the straight-line oracle, 360-degree periodicity of the directions
-and invariance under reordering a row; children bred without re-checks
-pass those checks; and, on random tiny instances, the search: elitism,
-every generation's best re-scored by the oracle, and the conventional GA as
-a population split of the adapted loop."""
+and invariance under reordering a row; and, on random tiny instances, the
+search: every row it scores is what a checked Layout stores, elitism, every
+generation's best re-scored by the oracle, and the conventional GA as a
+population split of the adapted loop."""
 
 import math
 from dataclasses import replace
@@ -14,15 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from windlayout import optimizer
 from windlayout.cli import trace_records
 from windlayout.optimizer import (
     FORBIDDEN_SEEDS,
     ChaosStream,
     GAParams,
     Layout,
-    chaotic_layout,
-    mutate_twice,
-    relocate,
     run_aga,
     run_conventional_ga,
 )
@@ -136,32 +134,6 @@ def test_permuting_a_row_permutes_its_power(data):
     assert np.all(np.abs(got_etas - etas) <= 1e-15 * np.maximum(1.0, etas))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_bred_children_pass_the_checks_they_skip(data):
-    m = data.draw(st.integers(2, 60))
-    n = data.draw(st.integers(1, m))
-    stream = ChaosStream(data.draw(st.floats(0.01, 0.99).filter(lambda x: x not in FORBIDDEN_SEEDS)))
-
-    def assert_checked(child):
-        assert child == Layout(child.occupied, child.m)
-        assert child.m == m and child.n == n
-        assert all(type(i) is int for i in child.occupied)
-        assert list(child.occupied) == sorted(set(child.occupied))
-        assert 0 <= child.occupied[0] and child.occupied[-1] < m
-
-    parent = chaotic_layout(stream, m, n)
-    assert_checked(parent)
-    if n == m:
-        return
-    for _ in range(4):
-        power = data.draw(st.lists(st.floats(0.0, 5000.0), min_size=n, max_size=n))
-        for child in (relocate(parent, power, stream), mutate_twice(parent, stream)):
-            assert_checked(child)
-            assert len(set(child.occupied) ^ set(parent.occupied)) == 2
-        parent = child
-
-
 def searches(data):
     """A tiny search instance: spec (deficit numerator drawn), a grid of 2-4
     cells per side, a single-bin or uniform scenario above cut-in, 2-4
@@ -186,6 +158,40 @@ def searches(data):
         chaos_seed=data.draw(st.floats(0.01, 0.99).filter(lambda x: x not in FORBIDDEN_SEEDS)),
     )
     return params, grid, scenario, spec, data.draw(st.integers(2, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bred_children_pass_the_checks_they_skip(data):
+    # the search breeds bare tuples: every row it scores must be what the
+    # checked Layout would store, and every moved child must differ from its
+    # parent in exactly two cells
+    params, grid, scenario, spec, _ = searches(data)
+    m = len(grid.points)
+    n = data.draw(st.integers(1, m))
+    scored, moves = [], []
+    score, move = FarmEvaluator.evaluate_batch, optimizer._moved
+
+    def recording_score(self, rows):
+        scored.extend(rows)
+        return score(self, rows)
+
+    def recording_move(occupied, *args):
+        child = move(occupied, *args)
+        moves.append((occupied, child))
+        return child
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FarmEvaluator, "evaluate_batch", recording_score)
+        patch.setattr(optimizer, "_moved", recording_move)
+        run_aga(params, grid, scenario, spec, n)
+    assert scored
+    for row in scored:
+        assert type(row) is tuple and all(type(i) is int for i in row)
+        assert row == Layout(row, m).occupied
+        assert len(row) == n
+    for parent, child in moves:
+        assert len(set(child) ^ set(parent)) == 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
